@@ -23,9 +23,11 @@ inline int default_threads(const harness::Options& opt, int paper_threads) {
   return opt.get_int("threads", 2 * hardware_cpus());
 }
 
-/// "a) draconic" style row label.
+/// "a) draconic" style row label; a grid id ("singly_cursor/ebr") takes
+/// its base variant's letter ("d) singly_cursor/ebr").
 inline std::string row_label(std::string_view id) {
-  return std::string(harness::variant_letter(id)) + ") " + std::string(id);
+  return std::string(harness::variant_letter(id.substr(0, id.find('/')))) +
+         ") " + std::string(id);
 }
 
 /// Emit the CSV twin next to the binary (best effort).

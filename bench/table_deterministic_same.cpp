@@ -5,7 +5,11 @@
 // --paper (optionally with --threads/--n) for the full-size run.
 //
 //   table_deterministic_same [--threads P] [--n N] [--paper] [--no-pin]
-//                            [--baselines]
+//                            [--baselines] [--reclaim arena,ebr,hp]
+//
+// --reclaim runs the six rows under each named reclaimer (arena = the
+// paper's bare ids, the default); rows are `d) singly_cursor/ebr` and
+// so on. --baselines rows are appended once, after the grid.
 #include <cstddef>
 #include <iostream>
 #include <sstream>
@@ -21,14 +25,20 @@ int main(int argc, char** argv) {
   const long n = opt.get_long("n", opt.get_bool("paper") ? 100000 : 1500);
   const bool pin = !opt.get_bool("no-pin");
 
-  std::vector<harness::TableRow> rows;
-  std::vector<std::string_view> ids(harness::paper_variant_ids());
+  const std::vector<std::string> variants(harness::paper_variant_ids().begin(),
+                                          harness::paper_variant_ids().end());
+  std::vector<std::string> ids;
+  for (const auto& cell : bench::expand_grid(
+           variants, opt.get_string_list("reclaim", {"arena"}), {1}))
+    ids.push_back(cell.id);
   if (opt.get_bool("baselines")) {
     ids.push_back("coarse_lock");
     ids.push_back("lazy_lock");
     ids.push_back("hp_michael");
   }
-  for (const auto id : ids) {
+
+  std::vector<harness::TableRow> rows;
+  for (const auto& id : ids) {
     auto set = harness::make_set(id);
     auto result = harness::run_deterministic(*set, p, n,
                                              workload::KeySchedule::kSameKeys,

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -75,8 +76,10 @@ class DoublyFamilyList {
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
   static constexpr bool kStable = Reclaim::kStableAddresses;
-  static constexpr bool kCursorOn =
-      kCursor == Cursor::kPerHandle && (kStable || kHazards);
+  // Every reclaimer keeps a cursor followable its own way -- the
+  // cursor-validity capability (reclaim.hpp), as in the singly family:
+  // always under the arena and HP, within the stamped epoch under EBR.
+  static constexpr bool kCursorOn = kCursor == Cursor::kPerHandle;
 
  public:
   class Handle {
@@ -136,6 +139,7 @@ class DoublyFamilyList {
     reclaim::MaybeOwned<ReclaimHandle> rh_;
     OpCounters ctr_;
     Node* cursor_ = nullptr;
+    std::uint64_t cursor_stamp_ = 0;  // rh_->cursor_stamp() at cursor_ set
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
@@ -305,6 +309,9 @@ class DoublyFamilyList {
         // unprotected and must not be dereferenced.
         if (!hazard::owns_cursor(*h.rh_, this)) h.cursor_ = nullptr;
       }
+      // EBR: stamped in an earlier epoch, the node may be freed -- drop
+      // it before any load (always valid under the arena and HP).
+      if (!h.rh_->cursor_valid(h.cursor_stamp_)) h.cursor_ = nullptr;
       c = h.cursor_;
       if (c != nullptr && c->key < key) {
         c = recover(c);  // dead cursor: hop back instead of head restart
@@ -322,6 +329,7 @@ class DoublyFamilyList {
     Node* g = hint_start(h, key);
     Node* s = start::tighter(head_, c, g);
     if (s != head_ && s == g) ++h.ctr_.hint_hits;
+    if (s == c) ++h.ctr_.cursor_hits;  // c is never the head
     return s;
   }
 
@@ -330,6 +338,7 @@ class DoublyFamilyList {
       if (n == head_) n = nullptr;
       if constexpr (kHazards) hazard::publish_cursor(*h.rh_, this, n);
       h.cursor_ = n;
+      h.cursor_stamp_ = h.rh_->cursor_stamp();
     }
   }
 
@@ -345,15 +354,19 @@ class DoublyFamilyList {
     }
   }
 
-  Pos search(Handle& h, long key) {
+  /// `from`, when non-null, is a node with key < `key` that this
+  /// operation saw live: the plain walk begins there (recover() hops
+  /// back if it died) instead of at start_node(). The hazard walk keeps
+  /// its own anchors and ignores it.
+  Pos search(Handle& h, long key, Node* from = nullptr) {
     if constexpr (kHazards)
       return search_hazard(h, key);
     else
-      return search_plain(h, key);
+      return search_plain(h, key, from);
   }
 
-  Pos search_plain(Handle& h, long key) {
-    Node* start = start_node(h, key);
+  Pos search_plain(Handle& h, long key, Node* from) {
+    Node* start = from != nullptr ? from : start_node(h, key);
     for (;;) {
       start = recover(start);
       Node* prev = start;
@@ -412,11 +425,14 @@ class DoublyFamilyList {
   bool do_add(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     Node* node = nullptr;
+    Node* from = nullptr;
     for (;;) {
-      const Pos p = search(h, key);
+      const Pos p = search(h, key, from);
       if (p.cur != nullptr && p.cur->key == key) {
         h.rh_->dispose(node);  // never published, still private
-        update_cursor(h, p.prev);
+        // The present node itself (live when observed; HP: kWalk still
+        // covers it) is the tightest start for the next, larger key.
+        update_cursor(h, p.cur);
         return false;
       }
       if (node == nullptr) {
@@ -443,6 +459,13 @@ class DoublyFamilyList {
         }
         return true;
       }
+      // Lost the insert CAS: resume from p.prev instead of a fresh
+      // start_node() (the paper's first observation). Under the arena
+      // recover() hops back from a p.prev that died meanwhile; under EBR
+      // a dead one decays to start_node(). HP keeps its anchored walk.
+      ++h.ctr_.restarts;
+      if constexpr (!kHazards)
+        from = kStable || !p.prev->next.load().marked ? p.prev : nullptr;
     }
   }
 

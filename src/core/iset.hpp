@@ -23,14 +23,16 @@ namespace pragmalist::core {
 /// `scan_calls` counts range_scan()/ascend() invocations (one per call,
 /// like the other *_calls) and `scans` the keys those calls emitted.
 ///
-/// `hint_hits` and `restarts` are read-path progress diagnostics, not
-/// operations, and are deliberately excluded from total_ops():
-/// hint_hits counts traversal starts taken from a validated shortcut
-/// (hint index or cursor composed via core::start::tighter), restarts
-/// counts lost anchors -- a traversal pass abandoned and resumed
-/// (plain search sweep-CAS losses, HP anchor revalidation failures).
-/// The starvation tier asserts restarts stays proportional to ops --
-/// bounded retries -- and bench_latency prints both per cell.
+/// `hint_hits`, `cursor_hits` and `restarts` are progress diagnostics,
+/// not operations, and are deliberately excluded from total_ops():
+/// hint_hits and cursor_hits count traversal starts taken from the
+/// hint index and from the handle's own cursor (the two candidates
+/// core::start::tighter composes; a start both proposed counts for
+/// both), restarts counts lost anchors -- a traversal pass abandoned
+/// and resumed (plain search sweep-CAS losses, lost insert CASes, HP
+/// anchor revalidation failures). The starvation tier asserts restarts
+/// stays proportional to ops -- bounded retries -- and bench_latency
+/// prints hints and restarts per cell.
 struct OpCounters {
   long adds = 0;
   long rems = 0;
@@ -41,6 +43,7 @@ struct OpCounters {
   long con_calls = 0;
   long scan_calls = 0;
   long hint_hits = 0;
+  long cursor_hits = 0;
   long restarts = 0;
 
   long total_ops() const {
@@ -57,6 +60,7 @@ struct OpCounters {
     con_calls += o.con_calls;
     scan_calls += o.scan_calls;
     hint_hits += o.hint_hits;
+    cursor_hits += o.cursor_hits;
     restarts += o.restarts;
     return *this;
   }
@@ -87,7 +91,8 @@ struct OpCounters {
 //   range_scan/ascend CAS-free, restart-free   CAS-free, bounded-restart
 //     (singly/doubly) (one pass)               (resume past last emitted)
 //   add/remove        lock-free (CAS retry); hint/cursor starts shorten
-//     (all engines)   the reattempt walk, sweep losses resume from prev
+//     (all engines)   the reattempt walk; mild arena/EBR sweep and
+//                     insert-CAS losses resume from prev
 //
 // The arena/EBR mild `contains` column is the paper's claim made
 // enforceable: the walk in SinglyFamilyList::do_contains /

@@ -20,9 +20,11 @@
 //     scheme: nothing is freed mid-run, stale pointers stay valid,
 //     cursors are free. reclaim::Ebr wraps every operation in an epoch
 //     pin; traversal is unchanged (the classic result that Harris-style
-//     lists are safe under deferred reclamation) but cursors are
-//     disabled, because a node pointer held across an unpinned gap may
-//     be freed. reclaim::Hp runs the *anchored-validation* traversal
+//     lists are safe under deferred reclamation), and the cursor is
+//     stamped with the epoch its operation pinned: a node pointer held
+//     across the unpinned gap may be freed, so the next operation
+//     follows it only if it pinned at that same epoch (proof in
+//     ebr.hpp). reclaim::Hp runs the *anchored-validation* traversal
 //     below; cursors survive via a dedicated hazard slot.
 //
 // Hazard traversal is the anchored-validation walk shared via
@@ -36,6 +38,7 @@
 // variants.hpp.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -88,13 +91,12 @@ class SinglyFamilyList {
 
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
-  // Cursors hold a node pointer across operations, which needs
-  // addresses that stay dereferenceable between ops: stable (arena)
-  // addresses, or a hazard slot pinning the cursor node. EBR offers
-  // neither, so the cursor knob degrades to start-from-head there.
-  static constexpr bool kCursorOn =
-      kCursor == Cursor::kPerHandle &&
-      (Reclaim::kStableAddresses || Reclaim::kHazards);
+  // Cursors hold a node pointer across operations; every reclaimer
+  // says when that pointer may be followed through its cursor-validity
+  // capability (reclaim.hpp): always under the arena (stable addresses)
+  // and HP (the kCursor hazard cell), within the stamped epoch under
+  // EBR.
+  static constexpr bool kCursorOn = kCursor == Cursor::kPerHandle;
 
  public:
   class Handle {
@@ -154,6 +156,7 @@ class SinglyFamilyList {
     reclaim::MaybeOwned<ReclaimHandle> rh_;
     OpCounters ctr_;
     Node* cursor_ = nullptr;
+    std::uint64_t cursor_stamp_ = 0;  // rh_->cursor_stamp() at cursor_ set
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
@@ -303,12 +306,15 @@ class SinglyFamilyList {
         // unprotected and must not be dereferenced.
         if (!hazard::owns_cursor(*h.rh_, this)) h.cursor_ = nullptr;
       }
+      // EBR: stamped in an earlier epoch, the node may be freed -- drop
+      // it before any load (always valid under the arena and HP).
+      if (!h.rh_->cursor_valid(h.cursor_stamp_)) h.cursor_ = nullptr;
       c = h.cursor_;
       if (c != nullptr && !(c->key < key && !c->next.load().marked)) {
         // Unmarked implies still physically linked (nodes are only ever
         // unlinked after being marked), so the suffix from a validated
         // cursor is a valid place to begin. Under HP the cursor slot
-        // keeps it allocated.
+        // keeps it allocated, under EBR the unmoved epoch.
         drop_cursor(h);
         c = nullptr;
       }
@@ -316,6 +322,7 @@ class SinglyFamilyList {
     Node* g = hint_start(h, key);
     Node* s = start::tighter(head_, c, g);
     if (s != head_ && s == g) ++h.ctr_.hint_hits;
+    if (s == c) ++h.ctr_.cursor_hits;  // c is never the head
     return s;
   }
 
@@ -328,6 +335,7 @@ class SinglyFamilyList {
       if (n == head_) n = nullptr;
       if constexpr (kHazards) hazard::publish_cursor(*h.rh_, this, n);
       h.cursor_ = n;
+      h.cursor_stamp_ = h.rh_->cursor_stamp();
     }
   }
 
@@ -346,20 +354,23 @@ class SinglyFamilyList {
     }
   }
 
-  Pos search(Handle& h, long key) {
+  /// `from`, when non-null, is a node with key < `key` that this
+  /// operation saw live: the plain walk begins there instead of at
+  /// start_node(). The hazard walk keeps its own anchors and ignores it.
+  Pos search(Handle& h, long key, Node* from = nullptr) {
     if constexpr (kHazards)
       return search_hazard(h, key);
     else
-      return search_plain(h, key);
+      return search_plain(h, key, from);
   }
 
   /// Locate `key` and guarantee physical adjacency prev->next == cur at
   /// some observed instant (required before an insert or unlink CAS).
   /// Arena/EBR flavor: no per-step protection (arena: addresses are
   /// stable; EBR: the caller's epoch pin covers the whole operation).
-  Pos search_plain(Handle& h, long key) {
+  Pos search_plain(Handle& h, long key, Node* from) {
     Backoffer bo;
-    Node* start = start_node(h, key);
+    Node* start = from != nullptr ? from : start_node(h, key);
     for (;;) {
       Node* prev = start;
       const auto pv = prev->next.load();
@@ -435,11 +446,14 @@ class SinglyFamilyList {
     [[maybe_unused]] auto guard = h.rh_->guard();
     Backoffer bo;
     Node* node = nullptr;
+    Node* from = nullptr;
     for (;;) {
-      const Pos p = search(h, key);
+      const Pos p = search(h, key, from);
       if (p.cur != nullptr && p.cur->key == key) {
         h.rh_->dispose(node);  // never published, still private
-        update_cursor(h, p.prev);
+        // The present node itself (live when observed; HP: kWalk still
+        // covers it) is the tightest start for the next, larger key.
+        update_cursor(h, p.cur);
         return false;  // present (the node was live when observed)
       }
       if (node == nullptr)
@@ -457,6 +471,13 @@ class SinglyFamilyList {
         }
         return true;
       }
+      // Lost the insert CAS. The mild variants resume from p.prev while
+      // it is unmarked -- the paper's first observation: the validated
+      // prefix is never re-walked -- instead of a fresh start_node();
+      // draconic keeps Michael's fresh search, and HP its anchored walk.
+      ++h.ctr_.restarts;
+      if constexpr (kTraversal == Traversal::kMild && !kHazards)
+        from = !p.prev->next.load().marked ? p.prev : nullptr;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     }
   }

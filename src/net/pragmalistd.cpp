@@ -15,6 +15,7 @@
 //   --fault-ordinal n    ops a faulty worker serves before crashing (200)
 //   --reap-delay d       crash detection delay   (50ms; suffix units)
 //   --no-latency         skip service-time histograms
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <iostream>
@@ -74,10 +75,14 @@ int main(int argc, char** argv) {
   sa.sa_handler = on_signal;
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
+  const auto serving_since = std::chrono::steady_clock::now();
   while (g_stop == 0) {
     timespec ts{0, 50'000'000};  // 50 ms
     ::nanosleep(&ts, nullptr);
   }
+  const double served_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - serving_since)
+                              .count();
 
   std::printf("pragmalistd: shutting down\n");
   server.stop();
@@ -96,8 +101,13 @@ int main(int argc, char** argv) {
       ledger.con_calls, ledger.scan_calls);
 
   if (cfg.record_latency && server.latency().total_count() > 0) {
+    // Kops/s over the whole serving window (start to shutdown signal).
+    const double kops =
+        served_s > 0 ? static_cast<double>(ledger.total_ops()) / served_s / 1e3
+                     : 0.0;
     std::vector<harness::LatencyRow> rows;
-    rows.push_back({cfg.set_id, server.latency(), 0.0, 0, 0});
+    rows.push_back({cfg.set_id, server.latency(), kops, ledger.hint_hits,
+                    ledger.restarts});
     harness::print_latency_table(std::cout, "Service time", rows);
   }
 

@@ -15,8 +15,9 @@
 //     one.
 //   Engine requirements: none -- any traversal is safe as-is. This is
 //     the only policy with kStableAddresses, the capability gate for
-//     per-handle cursors without a hazard slot and for the doubly
-//     family's back-pointer hints.
+//     the doubly family's back-pointer hints. Per-handle cursors need
+//     no gate: the cursor-validity capability (reclaim.hpp) is constant
+//     here, every remembered cursor stays dereferenceable.
 //
 // Like the reclaiming policies, one Arena instance is a *domain*: a
 // sharded set backs every shard with the same registry, so
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 
 #include "src/alloc/slab.hpp"
@@ -45,6 +47,11 @@ class Arena {
     struct Guard {};
     Guard guard() { return {}; }
     void retire(Node*) {}  // the registry frees everything at teardown
+
+    /// Cursor validity (reclaim.hpp): addresses are stable, so every
+    /// cursor stays valid and the stamp carries nothing.
+    static constexpr std::uint64_t cursor_stamp() { return 0; }
+    static constexpr bool cursor_valid(std::uint64_t) { return true; }
 
     /// Node allocation, through the per-thread slot cache (a plain
     /// `new` when the domain runs in heap mode).

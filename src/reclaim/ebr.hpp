@@ -16,10 +16,42 @@
 //   Engine requirements: none beyond the retire contract -- traversals
 //     are unchanged (no per-step protection, no marked-node
 //     restrictions), which is why the pragmatic walk keeps its shape
-//     under EBR. Cursors are disabled (kStableAddresses is false and
-//     there is no hazard slot to pin them): a node pointer held across
-//     an unpinned gap may be freed, so every operation starts from the
-//     head.
+//     under EBR. Per-handle cursors follow the epoch-stamp rule below.
+//
+// Epoch-stamped cursors (the cursor-validity capability of reclaim.hpp).
+// A node pointer held across the unpinned gap between two operations
+// may be freed meanwhile. So the engine stamps a cursor with the epoch
+// e its operation pinned (Handle::cursor_stamp(), the value the Guard
+// published), and the next operation follows it only if that operation
+// pinned at the same e (Handle::cursor_valid()); otherwise the cursor
+// is dropped before any load. The cost is one integer compare per
+// operation, on a value the guard already loaded. Why it is safe:
+//
+//   1. The cursor node c was reached, and seen unmarked -- so still
+//      linked, hence not yet retired -- while we were pinned at e.
+//   2. c's retire is tagged r >= e-1. The retirer tags with a global
+//      epoch it reads after its own pin at p <= r. Were p <= e-2, the
+//      global epoch could not reach e before that retirer unpinned
+//      (try_advance needs every pinned slot at the current epoch), so
+//      our pin at e, and our unmarked sighting of c, would come after
+//      the retirer had marked, unlinked and retired c: contradiction.
+//   3. Freeing c needs collect()/collect_orphans() to compute a horizon
+//      min_pinned_epoch() >= r+2 >= e+1, or retire() to reuse r's bag
+//      at an epoch >= r+3 >= e+2 (free_bag). Either way some thread has
+//      read a global epoch past e. The epoch only grows, so if our next
+//      Guard reads e again no such read came before it; and one that
+//      comes after it finds our slot pinned at e (the Guard publishes
+//      pinned/epoch before its seq_cst re-read of e, and the epoch
+//      cannot pass e+1 while we stay pinned at e), so its horizon is at
+//      most e < r+2 and no bag holding c is reused either. c is still
+//      allocated, and not recycled by the slab pool, for that whole
+//      operation.
+//   4. From there the cursor is validated like any start candidate (key
+//      below the target, unmarked) before the walk begins at it.
+//
+// The stamp is the *domain's* epoch, so the rule holds per engine
+// handle: every shard of a sharded set keeps its own cursor under one
+// borrowed reclaim handle (unlike HP's single shared kCursor cell).
 //
 // Limbo is **epoch-bucketed**: each handle owns kBags (= 3) rotating
 // bags, one per epoch residue. retire() drops the node into the bag
@@ -131,6 +163,7 @@ class Ebr {
           retired_since_collect_(o.retired_since_collect_),
           rate_ewma_(o.rate_ewma_),
           last_collect_epoch_(o.last_collect_epoch_),
+          pin_epoch_(o.pin_epoch_),
           cache_(std::move(o.cache_)) {
       for (int b = 0; b < kBags; ++b) bags_[b] = std::move(o.bags_[b]);
       o.d_ = nullptr;
@@ -161,8 +194,10 @@ class Ebr {
           const std::uint64_t e =
               h.d_->global_epoch_.load(std::memory_order_seq_cst);
           slot.epoch.store(e, std::memory_order_seq_cst);
-          if (h.d_->global_epoch_.load(std::memory_order_seq_cst) == e)
+          if (h.d_->global_epoch_.load(std::memory_order_seq_cst) == e) {
+            h.pin_epoch_ = e;
             break;
+          }
         }
       }
       Guard(const Guard&) = delete;
@@ -178,6 +213,15 @@ class Ebr {
     };
 
     Guard guard() { return Guard(*this); }
+
+    /// Cursor validity (see the file comment): a cursor is stamped with
+    /// the epoch the current guard pinned, and a later operation may
+    /// follow it only if its own guard pinned at that same epoch. Both
+    /// are called inside a live guard.
+    std::uint64_t cursor_stamp() const { return pin_epoch_; }
+    bool cursor_valid(std::uint64_t stamp) const {
+      return stamp == pin_epoch_;
+    }
 
     /// Node allocation, through the per-thread slot cache (a plain
     /// `new` when the domain runs in heap mode). The cache drains on
@@ -330,6 +374,7 @@ class Ebr {
     std::size_t retired_since_collect_ = 0;
     std::size_t rate_ewma_ = kRetireThreshold;
     std::uint64_t last_collect_epoch_ = 0;
+    std::uint64_t pin_epoch_ = 0;  // epoch of the current/last guard
     alloc::ThreadCache<Node> cache_;
   };
 

@@ -60,6 +60,7 @@
 #include <array>
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <mutex>
 #include <unordered_set>
 #include <utility>
@@ -119,6 +120,13 @@ class Hp {
 
     struct Guard {};
     Guard guard() { return {}; }
+
+    /// Cursor validity (reclaim.hpp): the persistent kCursor cell keeps
+    /// the cursor node protected, so the stamp carries nothing; the
+    /// engines check the cell's owner tag separately (see the file
+    /// comment and core::hazard::owns_cursor).
+    static constexpr std::uint64_t cursor_stamp() { return 0; }
+    static constexpr bool cursor_valid(std::uint64_t) { return true; }
 
     /// Node allocation, through the per-thread slot cache (a plain
     /// `new` when the domain runs in heap mode). The cache drains on

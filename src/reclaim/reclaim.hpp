@@ -8,9 +8,8 @@
 //   static constexpr bool kStableAddresses;
 //       Nodes are never freed (or reused) while the list is alive, so
 //       raw node pointers stay dereferenceable across operations. Only
-//       the arena guarantees this; it is what makes per-handle cursors
-//       and the doubly family's back-pointer hints safe without any
-//       per-access protection.
+//       the arena guarantees this; it is what makes the doubly family's
+//       back-pointer hints safe without any per-access protection.
 //   static constexpr bool kHazards;
 //       Traversals must publish a hazard pointer on every node before
 //       dereferencing it and revalidate reachability afterwards (see
@@ -48,6 +47,22 @@
 //                                // workers, tests)
 //   void protect(int slot, Node* n);  // hazard policies only
 //   void clear(int slot);             //
+//
+// Cursor validity -- the one capability behind per-handle cursors,
+// which every policy supports (a node pointer a handle keeps *between*
+// operations, where no guard covers it):
+//   std::uint64_t cursor_stamp();       // called inside the guard of
+//                                       // the op that sets the cursor
+//   bool cursor_valid(std::uint64_t s); // called inside the guard of a
+//                                       // later op, before any load
+//                                       // through the cursor
+// The engine stores the stamp beside the cursor and follows the cursor
+// only while cursor_valid(stamp) holds:
+//   Arena  always -- stable addresses (constant stamp).
+//   Hp     always -- the persistent kCursor hazard cell pins the node;
+//          the engines separately check the cell's owner tag.
+//   Ebr    only in the epoch it was stamped in: the stamp is the
+//          guard's pinned epoch (proof in ebr.hpp).
 //
 // Fault-injection surface (src/faults/faults.hpp): every Handle has
 //   void abandon(faults::FaultKind);  // the owner crashed: skip the

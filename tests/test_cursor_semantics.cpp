@@ -4,12 +4,17 @@
 // where the cursor actually short-circuits -- then mixed churn) and
 // demand op-for-op result equality with the SequentialCursorList
 // oracle; also cross-check two independent handles whose cursors
-// diverge on the same shared list.
+// diverge on the same shared list. Every cursor variant runs under
+// every reclaimer: the cursor is on under EBR too, where it is only
+// followed within the epoch it was stamped in (the EbrCursorEpoch
+// suite below pins that rule).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/harness/catalog.hpp"
 #include "src/workload/rng.hpp"
 #include "tests/test_util.hpp"
 
@@ -22,7 +27,10 @@ class CursorSemantics : public ::testing::Test {};
 using CursorLists =
     ::testing::Types<core::SinglyCursorList, core::SinglyFetchOrList,
                      core::DoublyCursorList, core::DoublyCursorNoPrecList,
-                     core::SinglyCursorBackoffList>;
+                     core::SinglyCursorBackoffList, core::SinglyCursorListEbr,
+                     core::SinglyCursorListHp, core::SinglyFetchOrListEbr,
+                     core::SinglyFetchOrListHp, core::DoublyCursorListEbr,
+                     core::DoublyCursorListHp>;
 TYPED_TEST_SUITE(CursorSemantics, CursorLists);
 
 TYPED_TEST(CursorSemantics, AscendingBuildMatchesOracle) {
@@ -94,6 +102,86 @@ TYPED_TEST(CursorSemantics, TwoHandlesWithDivergentCursors) {
   EXPECT_EQ(list.snapshot(), oracle.snapshot());
   std::string err;
   EXPECT_TRUE(list.validate(&err)) << err;
+}
+
+// The paper's same-keys pattern, one step at a time: a follower
+// re-adding the keys a leader already inserted finds each one present,
+// and every search after its first must start from its own cursor --
+// under EBR as under the arena and HP.
+constexpr long kFollowKeys = 400;
+
+template <typename Handle>
+void leader_then_follower(Handle& leader, Handle& follower) {
+  for (long k = 0; k < kFollowKeys; ++k) ASSERT_TRUE(leader.add(k)) << k;
+  for (long k = 0; k < kFollowKeys; ++k) ASSERT_FALSE(follower.add(k)) << k;
+}
+
+TYPED_TEST(CursorSemantics, FollowerStartsFromItsCursor) {
+  TypeParam list;
+  auto leader = list.make_handle();
+  auto follower = list.make_handle();
+  leader_then_follower(leader, follower);
+  EXPECT_GE(follower.counters().cursor_hits, kFollowKeys - 1);
+  EXPECT_EQ(list.size(), static_cast<std::size_t>(kFollowKeys));
+}
+
+// Each shard of a sharded EBR set keeps its own epoch-stamped cursor
+// under the worker's one borrowed reclaim handle, so the follower only
+// misses the first add of each shard.
+TEST(ShardedCursor, EbrFollowerStartsFromEachShardsCursor) {
+  constexpr long kShards = 4;
+  auto set = harness::make_set("singly_fetch_or/ebr/sh4");
+  auto leader = set->make_handle();
+  auto follower = set->make_handle();
+  leader_then_follower(*leader, *follower);
+  EXPECT_GE(follower->counters().cursor_hits, kFollowKeys - kShards);
+  std::string err;
+  EXPECT_TRUE(set->validate(&err)) << err;
+}
+
+// A cursor saved in one epoch must never be followed after the epoch
+// moved: its node may be freed by then. Park a handle's cursor on a
+// node, remove and retire that node from another handle, push the
+// epoch on until a free pass releases it (slab mode: the slot goes back
+// to the pool, poisoned under ASan; heap mode: deleted, so ASan flags
+// any read), then run the stale handle: it must take no cursor start,
+// answer correctly and leave a valid list.
+template <typename List>
+class EbrCursorEpoch : public ::testing::Test {};
+
+using EbrCursorLists =
+    ::testing::Types<core::SinglyCursorListEbr, core::SinglyFetchOrListEbr,
+                     core::DoublyCursorListEbr>;
+TYPED_TEST_SUITE(EbrCursorEpoch, EbrCursorLists);
+
+TYPED_TEST(EbrCursorEpoch, StaleCursorIsDroppedOnceTheEpochMoved) {
+  for (const alloc::Mode mode : {alloc::Mode::kSlab, alloc::Mode::kHeap}) {
+    auto domain = std::make_shared<typename TypeParam::Reclaim>(mode);
+    TypeParam list(domain);
+    auto stale = list.make_handle();
+    for (const long k : {10L, 20L, 30L}) ASSERT_TRUE(stale.add(k));
+    ASSERT_FALSE(stale.contains(25));  // the cursor parks on node 20
+    {
+      auto remover = list.make_handle();
+      ASSERT_TRUE(remover.remove(20));
+    }  // departure: a last collect, the young bag goes to the orphans
+    const std::uint64_t parked = domain->epoch();
+    auto spare = domain->make_handle();
+    for (int i = 0; i < 3; ++i) spare.collect();
+    ASSERT_GE(domain->epoch(), parked + 2);
+    ASSERT_EQ(domain->limbo_nodes(), 0u) << "node 20 was not freed";
+
+    const long hits = stale.counters().cursor_hits;
+    EXPECT_FALSE(stale.contains(25));
+    EXPECT_EQ(stale.counters().cursor_hits, hits)
+        << "followed a cursor stamped in an earlier epoch";
+    EXPECT_FALSE(stale.contains(20));
+    EXPECT_TRUE(stale.add(20));
+    EXPECT_TRUE(stale.add(25));
+    EXPECT_EQ(list.snapshot(), (std::vector<long>{10, 20, 25, 30}));
+    std::string err;
+    EXPECT_TRUE(list.validate(&err)) << err;
+  }
 }
 
 }  // namespace
