@@ -8,8 +8,9 @@
 //     improvements tolerate standard schemes costs in practice --
 //     note how the pragmatic traversal keeps its shape under EBR but
 //     pays anchored revalidation per step under HP.
-//  2. Reference rows: the draconic Michael baselines on the same
-//     shared reclaim domains, plus the lock-based lazy list.
+//  2. Reference rows: the textbook Michael list -- row a's
+//     `/heap/nohint` twin (malloc nodes, no hint index) -- under HP
+//     and EBR, plus the lock-based lazy list.
 //  3. (--shards N,N,...) The shard sweep: each selected variant x
 //     reclaimer behind a hash-sharded set at every requested shard
 //     count (shard count 1 is the plain single list). This is where
@@ -133,7 +134,8 @@ int main(int argc, char** argv) {
   // --- view 2: reference rows ---------------------------------------
   std::vector<harness::TableRow> ref_rows;
   for (const std::string_view id :
-       {std::string_view("hp_michael"), std::string_view("ebr_michael"),
+       {std::string_view("draconic/hp/heap/nohint"),
+        std::string_view("draconic/ebr/heap/nohint"),
         std::string_view("lazy_lock")}) {
     const Cell cell = run_one(id);
     ref_rows.push_back({std::string(id), cell.result});

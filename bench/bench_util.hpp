@@ -82,8 +82,7 @@ inline bool latency_enabled(const harness::Options& opt) {
 /// silently shrink a bench to zero rows).
 inline std::vector<std::string> select_variants(
     const harness::Options& opt, const std::vector<std::string>& def) {
-  std::vector<std::string_view> candidates(harness::paper_variant_ids());
-  candidates.push_back("unrolled_k8");
+  const auto& candidates = harness::engine_variant_ids();
   const std::vector<std::string> tokens =
       opt.get_string_list("variants", def);
   const bool all = tokens.size() == 1 && tokens.front() == "all";

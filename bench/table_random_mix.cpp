@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   if (opt.get_bool("baselines")) {
     ids.push_back("coarse_lock");
     ids.push_back("lazy_lock");
-    ids.push_back("hp_michael");
+    ids.push_back("draconic/hp/heap/nohint");
   }
   for (const auto id : ids) {
     auto set = harness::make_set(id);

@@ -27,8 +27,8 @@
 //     excluded by the mutex nothing can touch it concurrently.
 //
 // Mode::kHeap keeps the exact pre-slab behavior (plain new/delete):
-// the policies default to it so raw-domain unit tests and the Michael
-// baselines -- which `new` nodes themselves -- stay correct, and the
+// the policies default to it so raw-domain unit tests stay correct,
+// and the
 // catalog's `/heap` twin ids price the slab win instead of asserting
 // it. Only paths where *every* node flows through the pool may turn
 // kSlab on (the engines advertise this with kPoolAllocates).

@@ -62,8 +62,8 @@ class DoublyFamilyList {
   using ReclaimHandle = typename Reclaim::Handle;
 
   /// Every node is acquired through the domain's pool, so the engine
-  /// is eligible for slab mode (the catalog / sharded adapters gate
-  /// alloc::Mode::kSlab on this trait).
+  /// is eligible for slab mode (shard::ShardedSet asserts this trait
+  /// before sharing one slab-mode domain across its shards).
   static constexpr bool kPoolAllocates = true;
 
   /// Progress traits (iset.hpp matrix; asserted in variants.hpp). The
@@ -82,38 +82,13 @@ class DoublyFamilyList {
   static constexpr bool kCursorOn = kCursor == Cursor::kPerHandle;
 
  public:
-  class Handle {
+  class Handle : public CountingHandle<Handle> {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->do_remove(*this, key);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(*this, key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const KeySink& sink) {
-      return counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return counted_ascend(*this, ctr_, from, limit);
-    }
     /// Uncounted paging primitive: the sharded k-way merge drives this
     /// per shard and counts once per logical scan at the set level.
     long scan_raw(long from, long hi, long limit, const KeySink& sink) {
       return list_->do_scan(*this, from, hi, limit, sink);
     }
-    const OpCounters& counters() const { return ctr_; }
 
     /// Fault injection (see faults.hpp): op-level kinds run a
     /// deliberately botched remove of `key`; lease-level kinds crash
@@ -128,6 +103,11 @@ class DoublyFamilyList {
 
    private:
     friend class DoublyFamilyList;
+    friend class CountingHandle<Handle>;
+    bool add_raw(long key) { return list_->do_add(*this, key); }
+    bool remove_raw(long key) { return list_->do_remove(*this, key); }
+    bool contains_raw(long key) { return list_->do_contains(*this, key); }
+
     Handle(DoublyFamilyList* list, ReclaimHandle rh)  // owning
         : list_(list), rh_(std::move(rh)) {}
     Handle(DoublyFamilyList* list, ReclaimHandle* rh)  // borrowing
@@ -137,7 +117,6 @@ class DoublyFamilyList {
     // Stand-alone handles own their reclaim handle; shard handles
     // borrow the one their worker leased for the whole sharded set.
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    OpCounters ctr_;
     Node* cursor_ = nullptr;
     std::uint64_t cursor_stamp_ = 0;  // rh_->cursor_stamp() at cursor_ set
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)

@@ -132,6 +132,47 @@ std::vector<long> counted_ascend(Handle& h, OpCounters& ctr, long from,
   return out;
 }
 
+/// The counted public op surface of every structure's handle, written
+/// once (CRTP). The derived handle supplies the uncounted primitives
+/// `add_raw`/`remove_raw`/`contains_raw`/`scan_raw`; this base applies
+/// the ledger rules of OpCounters around them: one *_calls per
+/// attempt, one success count per true result.
+template <typename Derived>
+class CountingHandle {
+ public:
+  bool add(long key) {
+    ++ctr_.add_calls;
+    const bool ok = self().add_raw(key);
+    ctr_.adds += ok;
+    return ok;
+  }
+  bool remove(long key) {
+    ++ctr_.rem_calls;
+    const bool ok = self().remove_raw(key);
+    ctr_.rems += ok;
+    return ok;
+  }
+  bool contains(long key) {
+    ++ctr_.con_calls;
+    const bool ok = self().contains_raw(key);
+    ctr_.cons += ok;
+    return ok;
+  }
+  long range_scan(long lo, long hi, const KeySink& sink) {
+    return counted_range_scan(self(), ctr_, lo, hi, sink);
+  }
+  std::vector<long> ascend(long from, std::size_t limit) {
+    return counted_ascend(self(), ctr_, from, limit);
+  }
+  const OpCounters& counters() const { return ctr_; }
+
+ protected:
+  OpCounters ctr_;
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+};
+
 /// A thread's view of a set. Not thread-safe: exactly one thread uses a
 /// given handle. Handles must not outlive their set.
 ///

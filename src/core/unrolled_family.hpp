@@ -111,10 +111,10 @@ class UnrolledFamilyList {
   using ReclaimHandle = typename Reclaim::Handle;
 
   /// Every node is acquired through the domain's pool, so the engine
-  /// is eligible for slab mode (the catalog / sharded adapters gate
-  /// alloc::Mode::kSlab on this trait). Fat nodes are the pool's
-  /// intended tenant: sizeof(Node) is a cache-line multiple, so slab
-  /// slots tile without waste.
+  /// is eligible for slab mode (shard::ShardedSet asserts this trait
+  /// before sharing one slab-mode domain across its shards). Fat
+  /// nodes are the pool's intended tenant: sizeof(Node) is a
+  /// cache-line multiple, so slab slots tile without waste.
   static constexpr bool kPoolAllocates = true;
 
   /// Progress traits (iset.hpp matrix; asserted in variants.hpp).
@@ -138,38 +138,13 @@ class UnrolledFamilyList {
   static constexpr int kMergeCombined = kK / 2;
 
  public:
-  class Handle {
+  class Handle : public CountingHandle<Handle> {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->remove_impl(*this, key, RemoveMode::kNormal);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(*this, key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const KeySink& sink) {
-      return counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return counted_ascend(*this, ctr_, from, limit);
-    }
     /// Uncounted paging primitive: the sharded k-way merge drives this
     /// per shard and counts once per logical scan at the set level.
     long scan_raw(long from, long hi, long limit, const KeySink& sink) {
       return list_->do_scan(*this, from, hi, limit, sink);
     }
-    const OpCounters& counters() const { return ctr_; }
 
     /// Fault injection (see faults.hpp): op-level kinds run a
     /// deliberately botched remove of `key`; lease-level kinds crash
@@ -184,6 +159,13 @@ class UnrolledFamilyList {
 
    private:
     friend class UnrolledFamilyList;
+    friend class CountingHandle<Handle>;
+    bool add_raw(long key) { return list_->do_add(*this, key); }
+    bool remove_raw(long key) {
+      return list_->remove_impl(*this, key, RemoveMode::kNormal);
+    }
+    bool contains_raw(long key) { return list_->do_contains(*this, key); }
+
     Handle(UnrolledFamilyList* list, ReclaimHandle rh)  // owning
         : list_(list), rh_(std::move(rh)) {}
     Handle(UnrolledFamilyList* list, ReclaimHandle* rh)  // borrowing
@@ -191,7 +173,6 @@ class UnrolledFamilyList {
 
     UnrolledFamilyList* list_;
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    OpCounters ctr_;
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
@@ -716,13 +697,17 @@ class UnrolledFamilyList {
       for (int i = 0; i < sc; ++i)
         s->cells[i].store(kEmptyCell, std::memory_order_relaxed);
       s->count.store(0, std::memory_order_relaxed);
-      s->next.fetch_or_mark();  // marked => empty; next frozen
+      // marked => empty; next frozen. Unlink to the *frozen* successor,
+      // not sv.ptr: s's lock excludes splits of s but not lock-free
+      // sweeps from s, so sv.ptr may be a corpse swept (and retired)
+      // since it was read -- relinking it would retire it twice.
+      Node* succ = s->next.fetch_or_mark().ptr;
       unlock_node(s);
       // A is locked and unmarked, so A->next is still s (splits of A
       // are excluded by the lock; sweeps only remove marked nodes and
       // s was unmarked until just now). CAS regardless -- a racing
       // sweeper may beat us to the unlink now that s is marked.
-      if (a->next.cas_clean(s, sv.ptr)) retire_one(h, s);
+      if (a->next.cas_clean(s, succ)) retire_one(h, s);
       return;
     }
   }

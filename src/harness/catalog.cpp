@@ -1,13 +1,9 @@
 #include "src/harness/catalog.hpp"
 
-#include <functional>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "src/alloc/slab.hpp"
-#include "src/baselines/ebr_michael.hpp"
-#include "src/baselines/hp_michael.hpp"
 #include "src/baselines/locked_lists.hpp"
 #include "src/common/debug.hpp"
 #include "src/core/unrolled_family.hpp"
@@ -18,57 +14,23 @@
 namespace pragmalist::harness {
 namespace {
 
-template <typename T, typename = void>
-struct HasAllocatedNodes : std::false_type {};
-template <typename T>
-struct HasAllocatedNodes<
-    T, std::void_t<decltype(std::declval<const T&>().allocated_nodes())>>
-    : std::true_type {};
+// What an adapted structure exposes beyond the common set surface.
+// Engines carry node accounting, reclaim limbo and fault injection; a
+// sharded set of them adds per-shard load. The plain rows (locked
+// lists, skip lists) have none of it, so ISet's defaults stand -- and
+// ISetHandle's no-op abandon makes them fault-oblivious (a "crash" is
+// just a clean departure there).
+enum class Surface { kPlain, kEngine, kSharded };
 
-template <typename T, typename = void>
-struct HasLimboNodes : std::false_type {};
-template <typename T>
-struct HasLimboNodes<
-    T, std::void_t<decltype(std::declval<const T&>().limbo_nodes())>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasShardCount : std::false_type {};
-template <typename T>
-struct HasShardCount<
-    T, std::void_t<decltype(std::declval<const T&>().shard_count())>>
-    : std::true_type {};
-
-// Fault-injection surface: the engines and the sharded set have it;
-// baselines/skiplist do not (ISetHandle::abandon's default no-op makes
-// them fault-oblivious -- a "crash" is just a clean departure there).
-template <typename T, typename = void>
-struct HasAbandon : std::false_type {};
-template <typename T>
-struct HasAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
-                         faults::FaultKind::kMidOpAbandon, 0L))>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasReapCrashed : std::false_type {};
-template <typename T>
-struct HasReapCrashed<
-    T, std::void_t<decltype(std::declval<T&>().reap_crashed())>>
-    : std::true_type {};
-
-template <typename T, typename = void>
-struct HasBlastStats : std::false_type {};
-template <typename T>
-struct HasBlastStats<
-    T, std::void_t<decltype(std::declval<const T&>().blast_stats())>>
-    : std::true_type {};
-
-/// Adapts any concrete structure with the
+/// Adapts a concrete structure with the
 /// make_handle()/validate()/size()/snapshot() shape to core::ISet.
-/// Owns its id as a string: sharded ids (`.../shN`) are composed at
-/// parse time and have no static storage to point into.
-template <typename Structure>
+/// Owns its id as a string: composed ids (`.../sh4/heap`) have no
+/// static storage to point into.
+template <typename Structure, Surface kSurface>
 class SetAdapter final : public core::ISet {
+  static constexpr bool kEngine = kSurface != Surface::kPlain;
+  static constexpr bool kSharded = kSurface == Surface::kSharded;
+
   class HandleAdapter final : public core::ISetHandle {
    public:
     explicit HandleAdapter(typename Structure::Handle h)
@@ -84,8 +46,7 @@ class SetAdapter final : public core::ISet {
     }
     core::OpCounters counters() const override { return h_.counters(); }
     void abandon(faults::FaultKind k, long key) override {
-      if constexpr (HasAbandon<typename Structure::Handle>::value)
-        h_.abandon(k, key);
+      if constexpr (kEngine) h_.abandon(k, key);
     }
 
    private:
@@ -106,44 +67,44 @@ class SetAdapter final : public core::ISet {
   std::size_t size() const override { return inner_.size(); }
   std::vector<long> snapshot() const override { return inner_.snapshot(); }
   std::size_t allocated_nodes() const override {
-    if constexpr (HasAllocatedNodes<Structure>::value)
+    if constexpr (kEngine)
       return inner_.allocated_nodes();
     else
       return 0;
   }
   std::size_t limbo_nodes() const override {
-    if constexpr (HasLimboNodes<Structure>::value)
+    if constexpr (kEngine)
       return inner_.limbo_nodes();
     else
       return 0;
   }
-  int shard_count() const override {
-    if constexpr (HasShardCount<Structure>::value)
-      return inner_.shard_count();
-    else
-      return 1;
-  }
-  std::vector<long> shard_ops() const override {
-    if constexpr (HasShardCount<Structure>::value)
-      return inner_.shard_ops();
-    else
-      return {};
-  }
-  std::vector<std::size_t> shard_sizes() const override {
-    if constexpr (HasShardCount<Structure>::value)
-      return inner_.shard_sizes();
-    else
-      return {};
-  }
   std::size_t reap_crashed() override {
-    if constexpr (HasReapCrashed<Structure>::value)
+    if constexpr (kEngine)
       return inner_.reap_crashed();
     else
       return 0;
   }
   faults::BlastStats blast_stats() const override {
-    if constexpr (HasBlastStats<Structure>::value)
+    if constexpr (kEngine)
       return inner_.blast_stats();
+    else
+      return {};
+  }
+  int shard_count() const override {
+    if constexpr (kSharded)
+      return inner_.shard_count();
+    else
+      return 1;
+  }
+  std::vector<long> shard_ops() const override {
+    if constexpr (kSharded)
+      return inner_.shard_ops();
+    else
+      return {};
+  }
+  std::vector<std::size_t> shard_sizes() const override {
+    if constexpr (kSharded)
+      return inner_.shard_sizes();
     else
       return {};
   }
@@ -154,132 +115,108 @@ class SetAdapter final : public core::ISet {
   Structure inner_;
 };
 
-struct Entry {
-  std::string_view id;
-  std::string_view letter;
-  std::unique_ptr<core::ISet> (*make)(std::string id, alloc::Mode mode,
-                                      bool hints);
+// --- the id grammar: <base>[/ebr|/hp][/shN][/heap][/nohint] ----------
+
+enum class Reclaimer { kArena, kEbr, kHp };
+
+/// One parsed id: which cell of a row's grid to build.
+struct Cell {
+  Reclaimer reclaimer = Reclaimer::kArena;
+  int shards = 0;  // 0: one plain list; N: N hash shards (`/shN`)
+  alloc::Mode mode = alloc::Mode::kSlab;
+  bool hints = true;
 };
 
-// Pool-allocating structures (the engines: Engine::kPoolAllocates,
-// surfaced as an alloc::Mode constructor) honor the catalog's node-
-// memory mode; everything else -- baselines, skiplist -- news its own
-// nodes, so the mode is silently irrelevant for them. The hint-index
-// switch (`/nohint`) is engine-only too, but NOT silently: a baseline
-// has no hint index to disable, so asking for its `/nohint` twin would
-// silently benchmark the baseline against itself -- reject instead.
-template <typename Structure>
-std::unique_ptr<core::ISet> make_adapter(std::string id, alloc::Mode mode,
-                                         bool hints) {
-  if constexpr (std::is_constructible_v<Structure, alloc::Mode, bool>) {
-    return std::make_unique<SetAdapter<Structure>>(std::move(id), mode, hints);
-  } else {
-    PRAGMALIST_CHECK(
-        hints, "'/nohint' needs an engine id: this structure has no hint "
-               "index to disable");
-    if constexpr (std::is_constructible_v<Structure, alloc::Mode>)
-      return std::make_unique<SetAdapter<Structure>>(std::move(id), mode);
-    else
-      return std::make_unique<SetAdapter<Structure>>(std::move(id));
-  }
-}
-
-constexpr Entry kEntries[] = {
-    {"draconic", "a", &make_adapter<core::DraconicList>},
-    {"singly", "b", &make_adapter<core::SinglyList>},
-    {"doubly", "c", &make_adapter<core::DoublyList>},
-    {"singly_cursor", "d", &make_adapter<core::SinglyCursorList>},
-    {"singly_fetch_or", "e", &make_adapter<core::SinglyFetchOrList>},
-    {"doubly_cursor", "f", &make_adapter<core::DoublyCursorList>},
-    {"doubly_cursor_noprec", "-",
-     &make_adapter<core::DoublyCursorNoPrecList>},
-    {"singly_cursor_backoff", "-",
-     &make_adapter<core::SinglyCursorBackoffList>},
-    // The variant x reclaimer grid: the paper rows under real mid-run
-    // reclamation (the bare ids above are the paper's arena scheme).
-    {"draconic/ebr", "-", &make_adapter<core::DraconicListEbr>},
-    {"singly/ebr", "-", &make_adapter<core::SinglyListEbr>},
-    {"doubly/ebr", "-", &make_adapter<core::DoublyListEbr>},
-    {"singly_cursor/ebr", "-", &make_adapter<core::SinglyCursorListEbr>},
-    {"singly_fetch_or/ebr", "-", &make_adapter<core::SinglyFetchOrListEbr>},
-    {"doubly_cursor/ebr", "-", &make_adapter<core::DoublyCursorListEbr>},
-    {"draconic/hp", "-", &make_adapter<core::DraconicListHp>},
-    {"singly/hp", "-", &make_adapter<core::SinglyListHp>},
-    {"doubly/hp", "-", &make_adapter<core::DoublyListHp>},
-    {"singly_cursor/hp", "-", &make_adapter<core::SinglyCursorListHp>},
-    {"singly_fetch_or/hp", "-", &make_adapter<core::SinglyFetchOrListHp>},
-    {"doubly_cursor/hp", "-", &make_adapter<core::DoublyCursorListHp>},
-    // Unrolled fat-node family: K=8 sorted keys per cache-line-sized
-    // node (src/core/unrolled_family.hpp). Also reachable as
-    // `unrolled-k8/...` (dashes normalize to underscores in make_set).
-    {"unrolled_k8", "-", &make_adapter<core::UnrolledK8List>},
-    {"unrolled_k8/ebr", "-", &make_adapter<core::UnrolledK8ListEbr>},
-    {"unrolled_k8/hp", "-", &make_adapter<core::UnrolledK8ListHp>},
-    {"coarse_lock", "g", &make_adapter<baselines::CoarseLockList>},
-    {"lazy_lock", "h", &make_adapter<baselines::LazyLockList>},
-    {"hp_michael", "i", &make_adapter<baselines::HpMichaelList>},
-    {"ebr_michael", "j", &make_adapter<baselines::EbrMichaelList>},
-    {"skiplist", "k", &make_adapter<structures::SkipList>},
-    {"skiplist_draconic", "l", &make_adapter<structures::SkipListDraconic>},
-};
-
-// --- sharding: `<base>/shN` ids --------------------------------------
-//
-// Any of the bases below accepts a `/shN` suffix and is then built as
-// shard::ShardedSet<Engine> -- N hash-partitioned lists over one
-// shared reclamation domain. Parsed dynamically so every N works; the
-// fixed `sharded_variant_ids()` list below is what the test tiers and
-// docs enumerate.
-
-struct ShardedEntry {
-  std::string_view base;
-  std::unique_ptr<core::ISet> (*make)(std::string id, int shards,
-                                      alloc::Mode mode, bool hints);
-};
+using SetPtr = std::unique_ptr<core::ISet>;
+using Maker = SetPtr (*)(std::string id, const Cell& cell);
 
 template <typename Engine>
-std::unique_ptr<core::ISet> make_sharded_adapter(std::string id, int shards,
-                                                 alloc::Mode mode,
-                                                 bool hints) {
-  // ShardedSet clamps the mode to heap itself when the engine is not
-  // pool-allocating, so passing it unconditionally is safe. The hint
-  // switch is NOT clamped: a base with no hint index (the Michael
-  // baselines) rejects `/nohint` rather than aliasing the hinted id.
-  if constexpr (!std::is_constructible_v<
-                    Engine, std::shared_ptr<typename Engine::Reclaim>, bool>)
-    PRAGMALIST_CHECK(
-        hints, "'/nohint' needs an engine base: this structure has no hint "
-               "index to disable");
-  return std::make_unique<SetAdapter<shard::ShardedSet<Engine>>>(
-      std::move(id), shards, mode, hints);
+SetPtr make_cell(std::string id, const Cell& c) {
+  if (c.shards == 0)
+    return std::make_unique<SetAdapter<Engine, Surface::kEngine>>(
+        std::move(id), c.mode, c.hints);
+  return std::make_unique<
+      SetAdapter<shard::ShardedSet<Engine>, Surface::kSharded>>(
+      std::move(id), c.shards, c.mode, c.hints);
 }
 
-constexpr ShardedEntry kShardedEntries[] = {
-    {"draconic", &make_sharded_adapter<core::DraconicList>},
-    {"singly", &make_sharded_adapter<core::SinglyList>},
-    {"doubly", &make_sharded_adapter<core::DoublyList>},
-    {"singly_cursor", &make_sharded_adapter<core::SinglyCursorList>},
-    {"singly_fetch_or", &make_sharded_adapter<core::SinglyFetchOrList>},
-    {"doubly_cursor", &make_sharded_adapter<core::DoublyCursorList>},
-    {"draconic/ebr", &make_sharded_adapter<core::DraconicListEbr>},
-    {"singly/ebr", &make_sharded_adapter<core::SinglyListEbr>},
-    {"doubly/ebr", &make_sharded_adapter<core::DoublyListEbr>},
-    {"singly_cursor/ebr", &make_sharded_adapter<core::SinglyCursorListEbr>},
-    {"singly_fetch_or/ebr",
-     &make_sharded_adapter<core::SinglyFetchOrListEbr>},
-    {"doubly_cursor/ebr", &make_sharded_adapter<core::DoublyCursorListEbr>},
-    {"draconic/hp", &make_sharded_adapter<core::DraconicListHp>},
-    {"singly/hp", &make_sharded_adapter<core::SinglyListHp>},
-    {"doubly/hp", &make_sharded_adapter<core::DoublyListHp>},
-    {"singly_cursor/hp", &make_sharded_adapter<core::SinglyCursorListHp>},
-    {"singly_fetch_or/hp", &make_sharded_adapter<core::SinglyFetchOrListHp>},
-    {"doubly_cursor/hp", &make_sharded_adapter<core::DoublyCursorListHp>},
-    {"unrolled_k8", &make_sharded_adapter<core::UnrolledK8List>},
-    {"unrolled_k8/ebr", &make_sharded_adapter<core::UnrolledK8ListEbr>},
-    {"unrolled_k8/hp", &make_sharded_adapter<core::UnrolledK8ListHp>},
-    {"hp_michael", &make_sharded_adapter<baselines::HpMichaelList>},
-    {"ebr_michael", &make_sharded_adapter<baselines::EbrMichaelList>},
+template <template <template <typename> class> class ListWith>
+SetPtr make_engine(std::string id, const Cell& c) {
+  if (c.reclaimer == Reclaimer::kEbr)
+    return make_cell<ListWith<reclaim::Ebr>>(std::move(id), c);
+  if (c.reclaimer == Reclaimer::kHp)
+    return make_cell<ListWith<reclaim::Hp>>(std::move(id), c);
+  return make_cell<ListWith<reclaim::Arena>>(std::move(id), c);
+}
+
+// Locked lists and skip lists `new` their own nodes, so the node-memory
+// mode is silently irrelevant to them. They have no hint index either,
+// but that is NOT silent: their `/nohint` twin would benchmark the
+// structure against itself, so it is rejected.
+template <typename Structure>
+SetPtr make_plain(std::string id, const Cell& c) {
+  PRAGMALIST_CHECK(c.hints,
+                   "'/nohint' needs an engine id: this structure has no "
+                   "hint index to disable");
+  return std::make_unique<SetAdapter<Structure, Surface::kPlain>>(
+      std::move(id));
+}
+
+struct EngineRow {
+  std::string_view id;
+  std::string_view letter;  // paper table row; "-" for unrolled_k8
+  bool in_figures;          // plotted in the paper's scaling figures
+  Maker make;
 };
+
+// One row per engine family: every cell of the grammar is built from
+// the family's `With<R>` alias. The paper rows a-f come first, in
+// table order. `unrolled_k8` is K=8 sorted keys per cache-line-sized
+// node (src/core/unrolled_family.hpp), also reachable as `unrolled-k8`.
+constexpr EngineRow kEngines[] = {
+    {"draconic", "a", true, &make_engine<core::DraconicListWith>},
+    {"singly", "b", true, &make_engine<core::SinglyListWith>},
+    {"doubly", "c", true, &make_engine<core::DoublyListWith>},
+    {"singly_cursor", "d", true, &make_engine<core::SinglyCursorListWith>},
+    {"singly_fetch_or", "e", false,
+     &make_engine<core::SinglyFetchOrListWith>},
+    {"doubly_cursor", "f", true, &make_engine<core::DoublyCursorListWith>},
+    {"unrolled_k8", "-", false, &make_engine<core::UnrolledK8ListWith>},
+};
+
+struct PlainRow {
+  std::string_view id;
+  std::string_view letter;
+  Maker make;
+};
+
+// Arena-only ablation cells: engines, so `/heap` and `/nohint` apply.
+constexpr PlainRow kAblations[] = {
+    {"doubly_cursor_noprec", "-", &make_cell<core::DoublyCursorNoPrecList>},
+    {"singly_cursor_backoff", "-",
+     &make_cell<core::SinglyCursorBackoffList>},
+};
+
+// Baselines g/h and the skip-list structures k/l.
+constexpr PlainRow kPlain[] = {
+    {"coarse_lock", "g", &make_plain<baselines::CoarseLockList>},
+    {"lazy_lock", "h", &make_plain<baselines::LazyLockList>},
+    {"skiplist", "k", &make_plain<structures::SkipList>},
+    {"skiplist_draconic", "l", &make_plain<structures::SkipListDraconic>},
+};
+
+constexpr std::string_view kReclaimSegments[] = {"", "/ebr", "/hp"};
+
+bool is_paper_row(const EngineRow& row) { return row.letter != "-"; }
+
+/// Strip a trailing `suffix` off a longer `*id`; true when it was there.
+bool strip_suffix(std::string_view* id, std::string_view suffix) {
+  if (id->size() <= suffix.size() ||
+      id->substr(id->size() - suffix.size()) != suffix)
+    return false;
+  id->remove_suffix(suffix.size());
+  return true;
+}
 
 /// Split `<base>/shN` into base and shard count. Returns false when the
 /// id has no well-formed `/sh<digits>` suffix.
@@ -299,23 +236,17 @@ bool split_sharded_id(std::string_view id, std::string_view* base,
   return true;
 }
 
-std::unique_ptr<core::ISet> make_sharded_set(std::string_view id,
-                                             std::string_view base,
-                                             int shards, alloc::Mode mode,
-                                             bool hints) {
-  PRAGMALIST_CHECK(shards >= 1 && shards <= 1024,
-                   "shard count must be in [1, 1024]");
-  for (const auto& entry : kShardedEntries)
-    if (entry.base == base)
-      return entry.make(std::string(id), shards, mode, hints);
-  std::string msg = "id '" + std::string(id) + "' has a /shN suffix but '" +
-                    std::string(base) + "' is not shardable; bases:";
-  for (const auto& entry : kShardedEntries) {
-    msg += ' ';
-    msg += entry.base;
-  }
-  PRAGMALIST_CHECK(false, msg.c_str());
-  __builtin_unreachable();
+/// The enumerations hand out string_views of composed ids: keep their
+/// backing strings for the program's lifetime. The views come first, so
+/// the returned reference is the block's start and keeps it reachable.
+const std::vector<std::string_view>& intern(std::vector<std::string> ids) {
+  struct Interned {
+    std::vector<std::string_view> views;
+    std::vector<std::string> storage;
+  };
+  auto* in = new Interned{{}, std::move(ids)};
+  in->views.assign(in->storage.begin(), in->storage.end());
+  return in->views;
 }
 
 }  // namespace
@@ -328,108 +259,134 @@ std::unique_ptr<core::ISet> make_set(std::string_view id) {
   for (char& ch : norm) {
     if (ch == '-') ch = '_';
   }
-  // Hint-index switch: a final `/nohint` segment builds the same cell
+  // Suffixes peel off outermost first. `/nohint` builds the same cell
   // with the shortcut-hint index disabled (readers always start from
-  // head/cursor) -- the ablation twin the read-path benches and the CI
-  // contains-heavy gate compare against. Outermost suffix, stripped
-  // before `/heap`: `singly/ebr/heap/nohint`. Engine ids only; the
-  // adapters reject it for structures without a hint index.
-  bool hints = true;
-  std::string_view lookup = norm;
-  constexpr std::string_view kNoHintSuffix = "/nohint";
-  if (lookup.size() > kNoHintSuffix.size() &&
-      lookup.substr(lookup.size() - kNoHintSuffix.size()) == kNoHintSuffix) {
-    hints = false;
-    lookup.remove_suffix(kNoHintSuffix.size());
-  }
-  // Node-memory mode: catalog ids allocate from per-domain slabs by
-  // default; a final `/heap` segment requests the plain-malloc twin
-  // (`singly/ebr/heap`, `unrolled_k8/hp/sh4/heap`). Engines only --
-  // structures that new their own nodes ignore the mode either way.
-  alloc::Mode mode = alloc::Mode::kSlab;
-  constexpr std::string_view kHeapSuffix = "/heap";
-  if (lookup.size() > kHeapSuffix.size() &&
-      lookup.substr(lookup.size() - kHeapSuffix.size()) == kHeapSuffix) {
-    mode = alloc::Mode::kHeap;
-    lookup.remove_suffix(kHeapSuffix.size());
-  }
-  {
-    std::string_view base;
-    int shards = 0;
-    if (split_sharded_id(lookup, &base, &shards))
-      return make_sharded_set(id, base, shards, mode, hints);
-  }
-  for (const auto& entry : kEntries)
-    if (entry.id == lookup) return entry.make(std::string(id), mode, hints);
+  // head/cursor) -- the ablation twin the read-path benches compare
+  // against. `/heap` requests the plain-malloc twin of the default
+  // slab node memory.
+  std::string_view base = norm;
+  Cell cell;
+  cell.hints = !strip_suffix(&base, "/nohint");
+  if (strip_suffix(&base, "/heap")) cell.mode = alloc::Mode::kHeap;
+  if (split_sharded_id(base, &base, &cell.shards))
+    PRAGMALIST_CHECK(cell.shards >= 1 && cell.shards <= 1024,
+                     "shard count must be in [1, 1024]");
+  if (strip_suffix(&base, "/ebr"))
+    cell.reclaimer = Reclaimer::kEbr;
+  else if (strip_suffix(&base, "/hp"))
+    cell.reclaimer = Reclaimer::kHp;
+
+  for (const auto& row : kEngines)
+    if (row.id == base) return row.make(std::string(id), cell);
+  // The plain rows are single cells: the reclaimer and shard segments
+  // exist only for the engines.
+  const auto make_plain_row = [&](const PlainRow& row) {
+    if (cell.reclaimer != Reclaimer::kArena || cell.shards != 0) {
+      std::string msg = "id '" + std::string(id) + "': '" +
+                        std::string(base) +
+                        "' takes no /ebr, /hp or /shN segment; engines:";
+      for (const auto& engine : kEngines) {
+        msg += ' ';
+        msg += engine.id;
+      }
+      PRAGMALIST_CHECK(false, msg.c_str());
+    }
+    return row.make(std::string(id), cell);
+  };
+  for (const auto& row : kAblations)
+    if (row.id == base) return make_plain_row(row);
+  for (const auto& row : kPlain)
+    if (row.id == base) return make_plain_row(row);
   std::string msg = "unknown variant '" + std::string(id) + "'; known:";
-  for (const auto& entry : kEntries) {
+  for (const auto known : all_variant_ids()) {
     msg += ' ';
-    msg += entry.id;
+    msg += known;
   }
   msg +=
-      " (plus any shardable id with a /shN suffix, e.g. singly/ebr/sh8, a"
-      " trailing /heap for the malloc twin of any engine id, and a trailing"
-      " /nohint for an engine's hint-index-disabled twin)";
+      " (any engine id also takes /shN, e.g. singly/ebr/sh8, a trailing"
+      " /heap for its malloc twin and a trailing /nohint for its"
+      " hint-index-disabled twin)";
   PRAGMALIST_CHECK(false, msg.c_str());
   __builtin_unreachable();
 }
 
+const std::vector<std::string_view>& engine_variant_ids() {
+  static const std::vector<std::string_view> ids = [] {
+    std::vector<std::string_view> v;
+    for (const auto& row : kEngines) v.push_back(row.id);
+    return v;
+  }();
+  return ids;
+}
+
 const std::vector<std::string_view>& paper_variant_ids() {
-  static const std::vector<std::string_view> ids = {
-      "draconic",      "singly",          "doubly",
-      "singly_cursor", "singly_fetch_or", "doubly_cursor",
-  };
+  static const std::vector<std::string_view> ids = [] {
+    std::vector<std::string_view> v;
+    for (const auto& row : kEngines)
+      if (is_paper_row(row)) v.push_back(row.id);
+    return v;
+  }();
   return ids;
 }
 
 const std::vector<std::string_view>& figure_variant_ids() {
-  static const std::vector<std::string_view> ids = {
-      "draconic", "singly", "doubly", "singly_cursor", "doubly_cursor",
-  };
+  static const std::vector<std::string_view> ids = [] {
+    std::vector<std::string_view> v;
+    for (const auto& row : kEngines)
+      if (row.in_figures) v.push_back(row.id);
+    return v;
+  }();
+  return ids;
+}
+
+const std::vector<std::string_view>& all_variant_ids() {
+  // The paper rows and their arena-only ablations, the paper rows under
+  // each reclaimer, the other engine families under every reclaimer,
+  // then the plain structures.
+  static const auto& ids = intern([] {
+    std::vector<std::string> v;
+    for (const auto seg : kReclaimSegments) {
+      for (const auto& row : kEngines)
+        if (is_paper_row(row))
+          v.push_back(std::string(row.id).append(seg));
+      if (seg.empty())
+        for (const auto& row : kAblations) v.emplace_back(row.id);
+    }
+    for (const auto& row : kEngines)
+      if (!is_paper_row(row))
+        for (const auto seg : kReclaimSegments)
+          v.push_back(std::string(row.id).append(seg));
+    for (const auto& row : kPlain) v.emplace_back(row.id);
+    return v;
+  }());
   return ids;
 }
 
 const std::vector<std::string_view>& reclaim_variant_ids() {
   static const std::vector<std::string_view> ids = [] {
     std::vector<std::string_view> v;
-    for (const auto& entry : kEntries) {
-      const auto id = entry.id;
+    for (const auto id : all_variant_ids())
       if (id.find('/') != std::string_view::npos) v.push_back(id);
-    }
     return v;
   }();
   return ids;
 }
 
 const std::vector<std::string_view>& sharded_variant_ids() {
-  // Backing strings first, views second: both static, so the views
-  // stay valid for the program's lifetime.
-  static const std::vector<std::string>* storage = [] {
-    auto* v = new std::vector<std::string>;
+  static const auto& ids = intern([] {
+    std::vector<std::string> v;
     for (const auto id : reclaim_variant_ids())
-      v->push_back(std::string(id) + "/sh4");
+      v.push_back(std::string(id) + "/sh4");
     return v;
-  }();
-  static const std::vector<std::string_view> views = [] {
-    std::vector<std::string_view> v;
-    for (const auto& s : *storage) v.push_back(s);
-    return v;
-  }();
-  return views;
-}
-
-const std::vector<std::string_view>& all_variant_ids() {
-  static const std::vector<std::string_view> ids = [] {
-    std::vector<std::string_view> v;
-    for (const auto& entry : kEntries) v.push_back(entry.id);
-    return v;
-  }();
+  }());
   return ids;
 }
 
 std::string_view variant_letter(std::string_view id) {
-  for (const auto& entry : kEntries)
-    if (entry.id == id) return entry.letter;
+  for (const auto& row : kEngines)
+    if (row.id == id) return row.letter;
+  for (const auto& row : kPlain)
+    if (row.id == id) return row.letter;
   return "-";
 }
 

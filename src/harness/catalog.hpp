@@ -1,28 +1,26 @@
 // Variant catalog: maps the string ids the bench binaries use to
 // concrete structures, type-erased behind core::ISet.
 //
-// Paper variants (table rows a-f):
-//   draconic, singly, doubly, singly_cursor, singly_fetch_or,
-//   doubly_cursor
-// Reclaimer combinations: every paper variant also exists as
-//   `<variant>/ebr` and `<variant>/hp` (epoch-based and hazard-pointer
-//   reclamation from src/reclaim/; the bare id is the paper's arena)
-// Sharding: any paper variant or Michael baseline id -- with or
-//   without a reclaimer segment -- additionally accepts a `/shN`
-//   suffix (`singly/ebr/sh8`, `draconic/hp/sh16`, `singly_cursor/sh4`,
-//   `hp_michael/sh8`): N hash-partitioned lists behind one set,
-//   sharing one reclamation domain (src/shard/). Parsed dynamically,
-//   any N in [1, 1024].
-// Unrolled family: unrolled_k8 (+ /ebr, /hp, /shN) -- K=8 sorted keys
-//   per cache-line-sized fat node; `unrolled-k8` is accepted as an
-//   alias (dashes normalize to underscores).
-// Node memory: engine ids allocate nodes from per-domain slabs
-//   (src/alloc/) by default; appending a final `/heap` segment builds
-//   the plain-malloc twin of the same id (`singly/ebr/heap`,
-//   `unrolled_k8/hp/sh4/heap`). Non-engine structures ignore the mode.
-// Ablation-only: doubly_cursor_noprec, singly_cursor_backoff
-// Baselines: coarse_lock, lazy_lock, hp_michael, ebr_michael
-// Structures: skiplist, skiplist_draconic
+// Engine ids follow one grammar, `<engine>[/ebr|/hp][/shN][/heap][/nohint]`,
+// generated from one table of engine families in catalog.cpp:
+//   engines: the paper rows a-f (draconic, singly, doubly,
+//     singly_cursor, singly_fetch_or, doubly_cursor) and unrolled_k8
+//     (K=8 sorted keys per cache-line-sized fat node; `unrolled-k8` is
+//     an alias -- dashes normalize to underscores)
+//   /ebr, /hp: epoch-based or hazard-pointer reclamation (src/reclaim/);
+//     no segment is the paper's arena
+//   /shN: N hash-partitioned lists behind one set, sharing one
+//     reclamation domain (src/shard/), any N in [1, 1024]
+//   /heap: plain-malloc node memory instead of per-domain slabs
+//     (src/alloc/)
+//   /nohint: the shortcut-hint index disabled
+// Row a is the Harris/Michael discipline, so the textbook Michael list
+// on EBR or HP is `draconic/ebr/heap/nohint` or `draconic/hp/heap/nohint`.
+//
+// Plain ids are single cells that take no /ebr, /hp or /shN segment:
+//   ablation-only engines: doubly_cursor_noprec, singly_cursor_backoff
+//   baselines: coarse_lock, lazy_lock; structures: skiplist,
+//     skiplist_draconic (these ignore /heap and reject /nohint)
 #pragma once
 
 #include <memory>
@@ -37,17 +35,21 @@ namespace pragmalist::harness {
 /// of known ids on a typo.
 std::unique_ptr<core::ISet> make_set(std::string_view id);
 
+/// The engine families, in table order: rows a-f, then unrolled_k8.
+const std::vector<std::string_view>& engine_variant_ids();
+
 /// The six variants of the paper tables, in row order a-f.
 const std::vector<std::string_view>& paper_variant_ids();
 
 /// The five variants of the scaling figures (a, b, c, d, f).
 const std::vector<std::string_view>& figure_variant_ids();
 
-/// Every id make_set accepts (tests iterate this).
+/// Every row of the catalog under every reclaimer it takes, unsharded
+/// (tests iterate this).
 const std::vector<std::string_view>& all_variant_ids();
 
-/// The `<variant>/<reclaimer>` grid: every paper variant under ebr and
-/// hp reclamation (the stress tier and bench_reclaim iterate this).
+/// The `<variant>/<reclaimer>` grid: every engine under ebr and hp
+/// reclamation (the stress tier and bench_reclaim iterate this).
 const std::vector<std::string_view>& reclaim_variant_ids();
 
 /// The sharded showcase grid: every `<variant>/<reclaimer>` id behind
@@ -55,8 +57,8 @@ const std::vector<std::string_view>& reclaim_variant_ids();
 /// `<base>/shN`; this fixed list is what the stress tiers iterate.
 const std::vector<std::string_view>& sharded_variant_ids();
 
-/// Paper row letter for an id ("a".."f"), successive letters for the
-/// baselines, "-" for anything unlettered.
+/// Paper row letter for an id ("a".."f"), g/h for the locked
+/// baselines, k/l for the skip lists, "-" for anything unlettered.
 std::string_view variant_letter(std::string_view id);
 
 }  // namespace pragmalist::harness

@@ -1,5 +1,5 @@
-// Epoch-based reclamation, extracted from the EBR Michael baseline so
-// any list can use it: operations run inside an epoch-pinned critical
+// Epoch-based reclamation, shared by every list engine and the sharded
+// set: operations run inside an epoch-pinned critical
 // section (Handle::guard()); detached nodes are retired into the
 // current epoch's limbo bag and freed once every pinned handle has
 // advanced at least two epochs past it.

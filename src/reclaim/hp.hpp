@@ -1,5 +1,5 @@
-// Hazard-pointer reclamation (Michael, PODC'02/TPDS'04), extracted
-// from the HP Michael baseline so any list can use it. Each handle
+// Hazard-pointer reclamation (Michael, PODC'02/TPDS'04), shared by
+// every list engine and the sharded set. Each handle
 // owns kSlots hazard cells; a reader publishes the node it is about to
 // dereference, revalidates reachability against a shared cell, and may
 // then use the node until the cell is overwritten. scan() frees every
@@ -21,9 +21,9 @@
 //     chain was swept, see list_base.hpp. Per-handle cursors are
 //     supported via a dedicated persistent slot (hazard::kCursor).
 //
-// Slot-role conventions are the caller's business: the Michael
-// baseline uses three (cur/succ/pred); the pragmatic engines use four
-// (anchor/walk/succ + a persistent cursor slot, see singly_family.hpp).
+// Slot-role conventions are the caller's business: the engines use
+// four (anchor/walk/succ + a persistent cursor slot, see
+// singly_family.hpp).
 //
 // Cursor-slot reuse (departure/arrival protocol): hazard slots are a
 // fixed kMaxHandles-entry table, so a long-running service must

@@ -36,7 +36,6 @@
 #include <limits>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -48,30 +47,13 @@
 
 namespace pragmalist::shard {
 
-namespace detail {
-// Engines expose op-level fault injection (Handle::abandon(kind, key));
-// the Michael baselines do not -- for them an op-level "crash" degrades
-// to a clean no-op, matching ISetHandle's default.
-template <typename T, typename = void>
-struct HasOpAbandon : std::false_type {};
-template <typename T>
-struct HasOpAbandon<T, std::void_t<decltype(std::declval<T&>().abandon(
-                           faults::FaultKind::kMidOpAbandon, 0L))>>
-    : std::true_type {};
-
-// Engines that allocate nodes through the domain (construct/dispose)
-// advertise kPoolAllocates; only those may run the shared domain in
-// slab mode. Baselines that `new` their own nodes must clamp to heap,
-// or the domain would try to return foreign pointers to a slab.
-template <typename T, typename = void>
-struct PoolAllocates : std::false_type {};
-template <typename T>
-struct PoolAllocates<T, std::enable_if_t<T::kPoolAllocates>>
-    : std::true_type {};
-}  // namespace detail
-
 template <typename Engine>
 class ShardedSet {
+  // Every shard allocates through the one shared domain, so the
+  // domain's slab mode must be safe for the engine's nodes.
+  static_assert(Engine::kPoolAllocates,
+                "shards must allocate through the shared domain");
+
  public:
   using Reclaim = typename Engine::Reclaim;
   using ReclaimHandle = typename Engine::ReclaimHandle;
@@ -124,12 +106,10 @@ class ShardedSet {
     /// crashed worker's blast radius covers every shard at once,
     /// because reclamation state is per thread, not per shard.
     void abandon(faults::FaultKind k, long key) {
-      if (faults::is_op_fault(k)) {
-        if constexpr (detail::HasOpAbandon<typename Engine::Handle>::value)
-          handles_[set_->shard_of(key)].abandon(k, key);
-      } else {
+      if (faults::is_op_fault(k))
+        handles_[set_->shard_of(key)].abandon(k, key);
+      else
         rh_->abandon(k);
-      }
     }
 
     // Default move is safe: the engine handles point at *rh_, whose
@@ -232,24 +212,11 @@ class ShardedSet {
   explicit ShardedSet(int shards,
                       alloc::Mode mode = alloc::Mode::kHeap,
                       bool hints = true)
-      : domain_(std::make_shared<Reclaim>(
-            detail::PoolAllocates<Engine>::value ? mode
-                                                 : alloc::Mode::kHeap)) {
+      : domain_(std::make_shared<Reclaim>(mode)) {
     PRAGMALIST_CHECK(shards >= 1, "ShardedSet needs at least one shard");
     shards_.reserve(static_cast<std::size_t>(shards));
-    for (int i = 0; i < shards; ++i) {
-      // Engines take a per-shard hint-index switch; baselines without
-      // one (the Michael lists) only accept the shared domain. The
-      // catalog rejects `/nohint` for those before we get here.
-      if constexpr (std::is_constructible_v<Engine, std::shared_ptr<Reclaim>,
-                                            bool>) {
-        shards_.push_back(std::make_unique<Engine>(domain_, hints));
-      } else {
-        PRAGMALIST_CHECK(hints,
-                         "this engine has no hint index to disable");
-        shards_.push_back(std::make_unique<Engine>(domain_));
-      }
-    }
+    for (int i = 0; i < shards; ++i)
+      shards_.push_back(std::make_unique<Engine>(domain_, hints));
     shard_ops_ =
         std::make_unique<std::atomic<long>[]>(static_cast<std::size_t>(shards));
     for (int i = 0; i < shards; ++i)

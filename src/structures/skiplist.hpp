@@ -42,47 +42,25 @@ class SkipListT {
   };
 
  public:
-  class Handle {
+  class Handle : public core::CountingHandle<Handle> {
    public:
-    bool add(long key) {
-      ++ctr_.add_calls;
-      const bool ok = list_->do_add(*this, key);
-      ctr_.adds += ok;
-      return ok;
-    }
-    bool remove(long key) {
-      ++ctr_.rem_calls;
-      const bool ok = list_->do_remove(*this, key);
-      ctr_.rems += ok;
-      return ok;
-    }
-    bool contains(long key) {
-      ++ctr_.con_calls;
-      const bool ok = list_->do_contains(key);
-      ctr_.cons += ok;
-      return ok;
-    }
-    long range_scan(long lo, long hi, const core::KeySink& sink) {
-      return core::counted_range_scan(*this, ctr_, lo, hi, sink);
-    }
-    std::vector<long> ascend(long from, std::size_t limit) {
-      return core::counted_ascend(*this, ctr_, from, limit);
-    }
     /// Uncounted paging primitive (mirrors the list engines' surface).
     long scan_raw(long from, long hi, long limit,
                   const core::KeySink& sink) {
       return list_->do_scan(from, hi, limit, sink);
     }
-    const core::OpCounters& counters() const { return ctr_; }
 
    private:
     friend class SkipListT;
+    friend class core::CountingHandle<Handle>;
     Handle(SkipListT* list, std::uint64_t seed)
         : list_(list), rng_(seed) {}
+    bool add_raw(long key) { return list_->do_add(*this, key); }
+    bool remove_raw(long key) { return list_->do_remove(*this, key); }
+    bool contains_raw(long key) { return list_->do_contains(key); }
 
     SkipListT* list_;
     workload::Rng rng_;
-    core::OpCounters ctr_;
   };
 
   SkipListT() : head_(new Node(std::numeric_limits<long>::min(), kMaxHeight)) {

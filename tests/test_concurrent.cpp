@@ -14,6 +14,7 @@
 #include "src/harness/thread_team.hpp"
 #include "src/workload/op_mix.hpp"
 #include "src/workload/rng.hpp"
+#include "tests/test_util.hpp"
 
 namespace pragmalist {
 namespace {
@@ -24,7 +25,7 @@ class EveryVariant : public ::testing::TestWithParam<std::string_view> {};
 
 INSTANTIATE_TEST_SUITE_P(
     Catalog, EveryVariant,
-    ::testing::ValuesIn(harness::all_variant_ids()),
+    ::testing::ValuesIn(test::catalog_test_ids()),
     [](const ::testing::TestParamInfo<std::string_view>& info) {
       std::string name(info.param);
       for (char& c : name)        // "singly/ebr" -> "singly_ebr": gtest

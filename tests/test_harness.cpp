@@ -2,8 +2,11 @@
 // RNG determinism, distributions, op mixes, stats, table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "src/harness/catalog.hpp"
 #include "src/harness/options.hpp"
@@ -145,6 +148,52 @@ TEST(Catalog, EveryIdConstructsAWorkingSet) {
     std::string err;
     EXPECT_TRUE(set->validate(&err)) << id << ": " << err;
   }
+}
+
+// The id grammar's rejections: a typo, a suffix on a plain row, a
+// shard count outside [1, 1024].
+TEST(CatalogDeathTest, RejectsMalformedIds) {
+  const char* kPlainOnly = "takes no /ebr, /hp or /shN";
+  EXPECT_DEATH(harness::make_set("nonsense"), "unknown variant 'nonsense'");
+  EXPECT_DEATH(harness::make_set("coarse_lock/nohint"), "no hint index");
+  EXPECT_DEATH(harness::make_set("skiplist/sh4"), kPlainOnly);
+  EXPECT_DEATH(harness::make_set("lazy_lock/ebr"), kPlainOnly);
+  EXPECT_DEATH(harness::make_set("doubly_cursor_noprec/hp"), kPlainOnly);
+  EXPECT_DEATH(harness::make_set("singly/sh0"), "shard count");
+  EXPECT_DEATH(harness::make_set("singly/sh1025"), "shard count");
+}
+
+TEST(Catalog, EverySuffixComposes) {
+  auto set = harness::make_set("unrolled-k8/hp/sh2/heap/nohint");
+  EXPECT_EQ(set->name(), "unrolled-k8/hp/sh2/heap/nohint");
+  EXPECT_EQ(set->shard_count(), 2);
+  auto h = set->make_handle();
+  EXPECT_TRUE(h->add(5));
+  EXPECT_TRUE(h->contains(5));
+}
+
+// docs/CATALOG.md names every id backticked, and every shardable base
+// (each engine under each reclaimer) in its `base/shN` form.
+TEST(Catalog, EveryIdIsDocumented) {
+  std::ifstream in(PRAGMALIST_SOURCE_DIR "/docs/CATALOG.md");
+  ASSERT_TRUE(in) << "cannot open docs/CATALOG.md";
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  const auto documented = [&](std::string_view id) {
+    return doc.find("`" + std::string(id) + "`") != std::string::npos;
+  };
+  const auto& engines = harness::engine_variant_ids();
+  int bases = 0;
+  for (const auto id : harness::all_variant_ids()) {
+    EXPECT_TRUE(documented(id)) << id << " is missing from docs/CATALOG.md";
+    const auto engine = id.substr(0, id.find('/'));
+    if (std::find(engines.begin(), engines.end(), engine) == engines.end())
+      continue;
+    ++bases;
+    EXPECT_TRUE(documented(std::string(id) + "/shN"))
+        << id << "/shN is missing from docs/CATALOG.md";
+  }
+  EXPECT_EQ(bases, static_cast<int>(3 * engines.size()));
 }
 
 TEST(Rng, DeterministicAndSeedSplit) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/core/iset.hpp"
+#include "src/core/unrolled_family.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/harness/thread_team.hpp"
 #include "src/workload/rng.hpp"
@@ -280,7 +281,7 @@ class EveryVariantMidChurn
 
 INSTANTIATE_TEST_SUITE_P(
     Catalog, EveryVariantMidChurn,
-    ::testing::ValuesIn(harness::all_variant_ids()),
+    ::testing::ValuesIn(test::catalog_test_ids()),
     [](const ::testing::TestParamInfo<std::string_view>& info) {
       std::string name(info.param);
       for (char& c : name)
@@ -320,6 +321,52 @@ TEST_P(EveryVariantMidChurn, QuiescentCheckpointSeesIntactStructure) {
     auto h = set->make_handle();
     for (const long k : set->snapshot())
       EXPECT_TRUE(h->contains(k)) << "snapshot key " << k;
+  }
+}
+
+// Regression for the fat-node merge's unlink target. try_merge used to
+// swing A->next from s to the successor it read *before* marking s;
+// s's lock excludes splits of s but not lock-free sweeps from s, so
+// that successor could be a corpse already swept and retired, which
+// the merge then relinked and a later sweep retired a second time. A
+// 16-key universe keeps nodes at one to four keys, so merges race the
+// sweep of the next node constantly. The node ledger catches a
+// relinked retiree even when the allocator does not: once a full scan
+// has swept every corpse, each published node is exactly one of
+// linked, in limbo, or freed.
+template <typename List>
+class UnrolledMergeVsSweep : public ::testing::Test {};
+using UnrolledReclaimers =
+    ::testing::Types<core::UnrolledK8ListEbr, core::UnrolledK8ListHp>;
+TYPED_TEST_SUITE(UnrolledMergeVsSweep, UnrolledReclaimers);
+
+TYPED_TEST(UnrolledMergeVsSweep, EveryRetireeWasUnlinkedExactlyOnce) {
+  constexpr long kTinyUniverse = 16;
+  const std::uint64_t seed = test::env_seed(4000);
+  test::ReproOnFailure repro(seed);
+  for (int round = 0; round < 4; ++round) {
+    TypeParam list;
+    harness::run_team(
+        kThreads,
+        [&](int t) {
+          auto h = list.make_handle();
+          workload::Rng rng(workload::thread_seed(
+              seed + static_cast<std::uint64_t>(round), t));
+          for (long i = 0; i < 200000; ++i) {
+            const long k = static_cast<long>(rng.below(kTinyUniverse));
+            if (rng.below(2) == 0)
+              h.add(k);
+            else
+              h.remove(k);
+          }
+        },
+        /*pin=*/false);
+    std::string err;
+    ASSERT_TRUE(list.validate(&err)) << "round " << round << ": " << err;
+    list.make_handle().range_scan(0, kTinyUniverse, [](long) {});
+    EXPECT_EQ(list.allocated_nodes(),
+              list.live_node_count() + 1 + list.limbo_nodes())
+        << "round " << round << " (the 1 is the head sentinel)";
   }
 }
 

@@ -23,12 +23,14 @@ namespace {
 constexpr long kUniverse = 512;
 
 /// Every unsharded catalog id plus a sharded sample of each merge
-/// flavor (arena, EBR, HP, and the Michael baselines).
+/// flavor (arena, EBR, HP, and the draconic row and its textbook
+/// Michael twin on both domains).
 std::vector<std::string_view> scan_ids() {
-  std::vector<std::string_view> ids = harness::all_variant_ids();
+  std::vector<std::string_view> ids = test::catalog_test_ids();
   static const std::vector<std::string> sharded = {
       "singly/ebr/sh4",  "singly_cursor/hp/sh4", "doubly_cursor/sh8",
-      "hp_michael/sh4",  "ebr_michael/sh4",      "singly/sh3",
+      "draconic/hp/sh4", "draconic/ebr/sh4",     "singly/sh3",
+      "draconic/hp/sh4/heap/nohint", "draconic/ebr/sh4/heap/nohint",
       "unrolled_k8/ebr/sh4",  // fat-node pages feeding the k-way merge
   };
   for (const auto& s : sharded) ids.push_back(s);

@@ -130,8 +130,8 @@ TEST(ShardedSet, CatalogIdsParseAndReport) {
        std::vector<std::pair<std::string, int>>{{"singly/ebr/sh4", 4},
                                                 {"draconic/hp/sh16", 16},
                                                 {"singly_fetch_or/sh2", 2},
-                                                {"hp_michael/sh8", 8},
-                                                {"ebr_michael/sh8", 8},
+                                                {"draconic/hp/sh8", 8},
+                                                {"draconic/ebr/sh8", 8},
                                                 {"doubly/ebr/sh1", 1}}) {
     auto set = harness::make_set(id);
     EXPECT_EQ(set->name(), id);

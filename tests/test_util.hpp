@@ -8,10 +8,12 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/baselines/sequential_list.hpp"
 #include "src/core/variants.hpp"
+#include "src/harness/catalog.hpp"
 
 #if defined(__GLIBC__)
 // glibc's argv[0], for copy-paste repro lines (declared here so the
@@ -103,6 +105,16 @@ inline std::vector<long> sorted_unique(std::vector<long> keys) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
+}
+
+/// The ids the catalog-wide suites run: every catalog id plus the
+/// textbook Michael list on both domains, which is row a's
+/// `/heap/nohint` twin and the reference row of the benches.
+inline std::vector<std::string_view> catalog_test_ids() {
+  std::vector<std::string_view> ids = harness::all_variant_ids();
+  ids.push_back("draconic/hp/heap/nohint");
+  ids.push_back("draconic/ebr/heap/nohint");
+  return ids;
 }
 
 }  // namespace pragmalist::test
