@@ -184,6 +184,10 @@ class DoublyFamilyList {
 
   std::size_t allocated_nodes() const { return domain_->live_nodes(); }
 
+  /// Quiescent-only: nodes physically linked, marked ones included
+  /// (head excluded); see quiescent::linked for the ledger it closes.
+  std::size_t linked_node_count() const { return quiescent::linked(head_); }
+
   /// Retired-and-not-yet-freed count (0 under the arena); the soak
   /// harness samples it as the limbo-depth series.
   std::size_t limbo_nodes() const {

@@ -1,6 +1,18 @@
 // Wait-free shortcut-hint index: a fixed array of (key, node*) slots
-// that lets the read path start a traversal at the greatest recently
-// published node with key < target instead of at the head sentinel.
+// that lets the read path start a traversal at a recently published
+// node just below the target instead of at the head sentinel.
+//
+// Routing is by key *range*, not key hash. The index tracks the
+// observed key span [lo, hi] (publish widens it; it never shrinks) and
+// splits it into kSlots equal buckets; slot b holds the latest node
+// published into the b-th bucket. best(k) probes bucket(k), then the
+// buckets below it, so the first usable candidate is at most about one
+// bucket width below k whenever the buckets around k are populated.
+// bucket(k) is one 64x64->128 multiply by a precomputed
+// 2^64 * kSlots / span scale plus a clamp -- no division on the lookup
+// path. lo, hi and the scale are relaxed atomics: a racing widen can
+// hand a reader a torn (lo, scale) pair, which only picks a worse
+// bucket.
 //
 // The slot pair is *routing data, never truth*: the key field is a
 // relaxed, possibly-torn copy used only to pick a candidate, and every
@@ -28,9 +40,14 @@
 //     mark) and the publisher self-clears. Both ways, no slot names n
 //     once its retirement can free it -- except transiently while some
 //     publisher's guard still pins n alive.
-//   best(k, valid) -- try candidates in descending key order, at most
-//     one validation per slot (a tried-mask), so lookup is wait-free:
-//     <= kSlots validations regardless of concurrent writers.
+//   best(k, valid) -- probe bucket(k) downward to bucket 0, at most one
+//     validation per slot, so lookup is wait-free: <= kSlots
+//     validations regardless of concurrent writers.
+//
+// The safety argument never mentions the key -> slot mapping: purge
+// scans *every* slot for n, not n's bucket. A widen that moves n's
+// bucket between its publish and its purge therefore cannot strand a
+// slot naming a freed node; it only makes the routing coarser.
 //
 // Why a validated hint is then safe to dereference, per reclaimer, is
 // the engines' argument (docs/ARCHITECTURE.md "Read path"): the short
@@ -50,7 +67,7 @@ namespace pragmalist::core {
 template <typename Node>
 class HintIndex {
  public:
-  static constexpr int kSlots = 8;
+  static constexpr int kSlots = 64;
 
   explicit HintIndex(bool enabled = true) : enabled_(enabled) {}
   HintIndex(const HintIndex&) = delete;
@@ -61,83 +78,68 @@ class HintIndex {
   /// diff (same binary, same layout, no publish/lookup traffic).
   bool enabled() const { return enabled_; }
 
-  /// Publish (key, n) into key's slot. Caller contract: n is covered by
-  /// the caller's reclamation guard for the whole call and was observed
+  /// Publish (key, n) into key's bucket, widening the span first if
+  /// key falls outside it. Caller contract: n is covered by the
+  /// caller's reclamation guard for the whole call and was observed
   /// unmarked during the current operation. See file comment for the
   /// re-check/self-clear rule.
   void publish(long key, Node* n) {
     if (!enabled_ || n == nullptr) return;
-    Slot& s = slots_[slot_of(key)];
-    s.key.store(key, std::memory_order_relaxed);
-    s.node.store(n, std::memory_order_seq_cst);
+    widen(key);
+    const int b = bucket(key);
+    keys_[b].store(key, std::memory_order_relaxed);
+    nodes_[b].store(n, std::memory_order_seq_cst);
     if (n->next.load_rmw().marked) {
       // n died before (or while) we advertised it: withdraw the hint
       // ourselves -- the retirer's purge may already have run and
       // missed our store. The guard still covers n, so the RMW above
       // and this CAS never touch freed memory.
       Node* expected = n;
-      s.node.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed);
+      nodes_[b].compare_exchange_strong(expected, nullptr,
+                                        std::memory_order_seq_cst,
+                                        std::memory_order_relaxed);
     }
   }
 
-  /// Clear every slot naming n. MUST run before every retire(n) /
-  /// leak(n) of a node that may ever have been published (engines call
-  /// it on every retirement path; 8 relaxed loads make the miss case
-  /// nearly free).
+  /// Clear every slot naming n -- all kSlots, not just n's bucket, so
+  /// the guarantee holds whatever the span did since n was published.
+  /// MUST run before every retire(n) / leak(n) of a node that may ever
+  /// have been published (engines call it on every retirement path;
+  /// the pointers are packed eight to a cache line, so the miss case
+  /// is eight line reads).
   void purge(Node* n) {
     if (n == nullptr) return;
-    for (Slot& s : slots_) {
-      if (s.node.load(std::memory_order_seq_cst) != n) continue;
+    for (auto& slot : nodes_) {
+      if (slot.load(std::memory_order_seq_cst) != n) continue;
       Node* expected = n;
-      s.node.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed);
+      slot.compare_exchange_strong(expected, nullptr,
+                                   std::memory_order_seq_cst,
+                                   std::memory_order_relaxed);
     }
   }
 
-  /// Greatest validated candidate, or nullptr (start from the head).
-  /// `valid(n, slot)` runs the caller's validation -- key/mark check
-  /// under its guard; HP callers additionally kAnchor-protect n and
-  /// re-read slot_node(slot) == n before dereferencing. Candidates are
-  /// tried in descending routing-key order; each slot is tried at most
-  /// once (decay chain: next hint, then head), so the lookup is
-  /// wait-free.
+  /// Nearest validated candidate below `key`, or nullptr (start from
+  /// the head). `valid(n, slot)` runs the caller's validation -- key/
+  /// mark check under its guard; HP callers additionally kAnchor-
+  /// protect n and re-read slot_node(slot) == n before dereferencing.
+  /// Slots are probed from bucket(key) down to 0; empty slots and
+  /// slots whose routing key is not below `key` are skipped, and each
+  /// remaining slot is validated at most once (decay chain: next
+  /// bucket down, then head), so the lookup is wait-free.
   template <typename Validate>
   Node* best(long key, Validate&& valid) const {
     if (!enabled_) return nullptr;
-    std::uint32_t tried = 0;
-    while (tried != (1u << kSlots) - 1) {
-      int pick = -1;
-      long pick_key = std::numeric_limits<long>::min();
-      Node* pick_node = nullptr;
-      for (int i = 0; i < kSlots; ++i) {
-        if (tried & (1u << i)) continue;
-        // The node load must synchronize with the publisher's seq_cst
-        // store: validation dereferences plain fields (key, the node's
-        // construction), and the publish store is the only edge that
-        // orders them after the node's initialization for a reader
-        // that never walked to n. The routing key stays relaxed -- it
-        // is never dereferenced, only compared.
-        Node* n = slots_[i].node.load(std::memory_order_seq_cst);
-        const long k = slots_[i].key.load(std::memory_order_relaxed);
-        if (n == nullptr || k >= key) {
-          // Empty, or routing key not below the target: useless this
-          // lookup (the real check is on n->key during validation; the
-          // routing key only prunes).
-          tried |= 1u << i;
-          continue;
-        }
-        if (pick < 0 || k > pick_key) {
-          pick = i;
-          pick_key = k;
-          pick_node = n;
-        }
-      }
-      if (pick < 0) return nullptr;
-      tried |= 1u << static_cast<std::uint32_t>(pick);
-      if (valid(pick_node, pick)) return pick_node;
+    for (int b = bucket(key); b >= 0; --b) {
+      // The node load must synchronize with the publisher's seq_cst
+      // store: validation dereferences plain fields (key, the node's
+      // construction), and the publish store is the only edge that
+      // orders them after the node's initialization for a reader that
+      // never walked to n. The routing key stays relaxed -- it is
+      // never dereferenced, only compared.
+      Node* n = nodes_[b].load(std::memory_order_seq_cst);
+      if (n == nullptr) continue;
+      if (keys_[b].load(std::memory_order_relaxed) >= key) continue;
+      if (valid(n, b)) return n;
     }
     return nullptr;
   }
@@ -146,26 +148,69 @@ class HintIndex {
   /// that protected n and still sees it here is ordered before any
   /// purge of n, hence before the retire that could free it.
   Node* slot_node(int slot) const {
-    return slots_[slot].node.load(std::memory_order_seq_cst);
+    return nodes_[slot].load(std::memory_order_seq_cst);
+  }
+
+  /// The slot `key` routes to under the current span, in [0, kSlots).
+  /// Keys below the span route to 0, keys above it to kSlots - 1.
+  int bucket(long key) const {
+    const long lo = lo_.load(std::memory_order_relaxed);
+    if (key <= lo) return 0;
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(lo);
+    const std::uint64_t b = static_cast<std::uint64_t>(
+        (static_cast<U128>(off) * scale_.load(std::memory_order_relaxed)) >>
+        64);
+    return b < kSlots ? static_cast<int>(b) : kSlots - 1;
   }
 
  private:
-  // One slot per cache line: publishers from different threads land on
-  // different lines (slot_of spreads by key), and readers scanning all
-  // eight pay a predictable eight-line touch.
-  struct alignas(64) Slot {
-    std::atomic<long> key{0};
-    std::atomic<Node*> node{nullptr};
-  };
+  __extension__ typedef unsigned __int128 U128;
 
-  static std::size_t slot_of(long key) {
-    // Fibonacci mix of the key's bits; top bits select the slot.
-    return static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> 61);
+  /// floor(2^64 * kSlots / (hi - lo + 1)), saturated: a span of at most
+  /// kSlots keys gives one key per bucket (less the first, which
+  /// shares bucket 0 with the key after it).
+  static std::uint64_t scale_for(long lo, long hi) {
+    const U128 span = static_cast<U128>(static_cast<std::uint64_t>(hi) -
+                                        static_cast<std::uint64_t>(lo)) +
+                      1;
+    const U128 s = (static_cast<U128>(kSlots) << 64) / span;
+    const U128 max = std::numeric_limits<std::uint64_t>::max();
+    return static_cast<std::uint64_t>(s < max ? s : max);
   }
 
-  Slot slots_[kSlots];
+  /// Grow [lo, hi] to cover key and recompute the scale. The fast path
+  /// (key already inside) is two relaxed loads. The slow path is
+  /// seq_cst so that the last scale stored matches the final span:
+  /// a widener re-reads lo/hi after its scale store and recomputes if
+  /// another widen landed in between.
+  void widen(long key) {
+    long lo = lo_.load(std::memory_order_relaxed);
+    long hi = hi_.load(std::memory_order_relaxed);
+    if (lo <= key && key <= hi) return;
+    while (key < lo && !lo_.compare_exchange_weak(lo, key)) {
+    }
+    while (key > hi && !hi_.compare_exchange_weak(hi, key)) {
+    }
+    for (;;) {
+      lo = lo_.load();
+      hi = hi_.load();
+      scale_.store(scale_for(lo, hi));
+      if (lo_.load() == lo && hi_.load() == hi) return;
+    }
+  }
+
+  // Routing state, read by every lookup and written only by a widen:
+  // one line of its own. The empty span (lo > hi) routes every key to
+  // bucket 0 until the first publish.
+  alignas(64) std::atomic<long> lo_{std::numeric_limits<long>::max()};
+  std::atomic<long> hi_{std::numeric_limits<long>::min()};
+  std::atomic<std::uint64_t> scale_{0};
   const bool enabled_;
+  // Node pointers and routing keys in separate arrays: purge reads only
+  // the pointers (eight cache lines for all 64 slots).
+  alignas(64) std::atomic<Node*> nodes_[kSlots] = {};
+  alignas(64) std::atomic<long> keys_[kSlots] = {};
 };
 
 }  // namespace pragmalist::core

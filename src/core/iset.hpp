@@ -74,8 +74,9 @@ struct OpCounters {
 // never abandoned; "bounded-restart" means a lost pass resumes from
 // the last validated anchor (kept protected across the restart), so
 // the validated key-space prefix is never re-walked; "wait-free
-// lookup" refers to the hint index's candidate selection (<= H
-// validations, tried-mask bounded), independent of writers.
+// lookup" refers to the hint index's candidate selection (one downward
+// pass over the H = 64 key-range buckets, <= H validations),
+// independent of writers.
 //
 //                     arena / EBR              HP
 //   contains (mild,

@@ -561,6 +561,18 @@ std::size_t size(const Node* head) {
   return count;
 }
 
+/// Nodes physically linked after `head`, marked ones included. A node
+/// is retired only once unlinked, so at quiescence allocated ==
+/// linked + 1 (the head) + limbo closes the node ledger.
+template <typename Node>
+std::size_t linked(const Node* head) {
+  std::size_t count = 0;
+  for (const Node* n = head->next.load_ptr(); n != nullptr;
+       n = n->next.load_ptr())
+    ++count;
+  return count;
+}
+
 /// Physical-chain invariants every marked-pointer variant must satisfy
 /// at quiescence:
 ///   1. keys never decrease along the chain;

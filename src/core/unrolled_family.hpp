@@ -319,6 +319,10 @@ class UnrolledFamilyList {
   /// churn tests bound it under the reclaiming policies.
   std::size_t allocated_nodes() const { return domain_->live_nodes(); }
 
+  /// Quiescent-only: nodes physically linked, marked ones included
+  /// (head excluded); see quiescent::linked for the ledger it closes.
+  std::size_t linked_node_count() const { return quiescent::linked(head_); }
+
   /// Quiescent-only: unmarked fat nodes currently linked (head
   /// sentinel excluded). The split/merge unit tests assert node-count
   /// transitions with this.

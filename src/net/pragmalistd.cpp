@@ -90,10 +90,10 @@ int main(int argc, char** argv) {
   const net::ServerStats stats = server.stats();
   const core::OpCounters ledger = server.ledger();
   std::printf(
-      "pragmalistd: accepted=%ld closed=%ld frames=%ld protocol_errors=%ld "
-      "faults=%d reaps=%d\n",
-      stats.accepted, stats.closed, stats.frames, stats.protocol_errors,
-      stats.faults_fired, stats.reaps);
+      "pragmalistd: accepted=%ld accept_errors=%ld closed=%ld frames=%ld "
+      "protocol_errors=%ld faults=%d reaps=%d\n",
+      stats.accepted, stats.accept_errors, stats.closed, stats.frames,
+      stats.protocol_errors, stats.faults_fired, stats.reaps);
   std::printf(
       "pragmalistd: ledger total_ops=%ld add_calls=%ld rem_calls=%ld "
       "con_calls=%ld scan_calls=%ld\n",

@@ -344,24 +344,42 @@ void Server::record_fault() {
 }
 
 void Server::acceptor_loop() {
+  constexpr auto kTick = std::chrono::milliseconds(20);
   Epoll ep;
-  ep.add(acc_->listen.get(), EPOLLIN);
+  const int listen_fd = acc_->listen.get();
+  ep.add(listen_fd, EPOLLIN);
   ep.add(acc_->wake.get(), EPOLLIN);
   std::size_t next_worker = 0;
   epoll_event evs[16];
+  // Set while the listen fd is out of the epoll set after a hard
+  // accept failure (EMFILE, ENFILE, ENOBUFS, ...): the pending
+  // connection keeps the level-triggered fd readable, so polling it
+  // again at once would spin. It is re-armed at the first tick past
+  // the deadline.
+  bool listen_paused = false;
+  Clock::time_point resume_at{};
   while (running_.load(std::memory_order_acquire)) {
     // Short timeout: the acceptor doubles as the crash supervisor and
     // must notice reap deadlines without a dedicated timer fd.
-    const int n = ep.wait(evs, 16, 20);
+    const int n = ep.wait(evs, 16, static_cast<int>(kTick.count()));
     for (int i = 0; i < n; ++i) {
       if (evs[i].data.fd == acc_->wake.get()) {
         acc_->wake.drain();
         continue;
       }
       for (;;) {
-        const int fd = ::accept4(acc_->listen.get(), nullptr, nullptr,
+        const int fd = ::accept4(listen_fd, nullptr, nullptr,
                                  SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) break;
+        if (fd < 0) {
+          if (errno == EINTR || errno == ECONNABORTED) continue;
+          if (errno != EAGAIN && errno != EWOULDBLOCK) {
+            accept_errors_.fetch_add(1, std::memory_order_relaxed);
+            ep.del(listen_fd);
+            listen_paused = true;
+            resume_at = Clock::now() + kTick;
+          }
+          break;
+        }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -388,6 +406,10 @@ void Server::acceptor_loop() {
     if (due)
       reaps_.fetch_add(static_cast<int>(set_->reap_crashed()),
                        std::memory_order_relaxed);
+    if (listen_paused && Clock::now() >= resume_at) {
+      ep.add(listen_fd, EPOLLIN);
+      listen_paused = false;
+    }
   }
 }
 
@@ -459,6 +481,8 @@ std::string Server::info() const {
   os << "set:" << cfg_.set_id << "\n"
      << "workers:" << cfg_.workers << "\n"
      << "accepted:" << accepted_.load(std::memory_order_relaxed) << "\n"
+     << "accept_errors:" << accept_errors_.load(std::memory_order_relaxed)
+     << "\n"
      << "active_conns:" << active << "\n"
      << "closed_conns:" << closed << "\n"
      << "frames:" << frames << "\n"
@@ -484,6 +508,7 @@ std::string Server::info() const {
 ServerStats Server::stats() const {
   ServerStats s;
   s.accepted = accepted_.load(std::memory_order_relaxed);
+  s.accept_errors = accept_errors_.load(std::memory_order_relaxed);
   for (const auto& w : workers_) {
     s.closed += w->closed.load(std::memory_order_relaxed);
     s.frames += w->frames.load(std::memory_order_relaxed);

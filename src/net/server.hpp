@@ -79,6 +79,7 @@ struct ServerConfig {
 /// folded into plain values).
 struct ServerStats {
   long accepted = 0;
+  long accept_errors = 0;   // hard accept4 failures (EMFILE, ENFILE, ...)
   long closed = 0;
   long frames = 0;          // complete request frames dispatched
   long protocol_errors = 0; // malformed streams (connection closed)
@@ -152,6 +153,7 @@ class Server {
   std::atomic<int> faults_fired_{0};
   std::atomic<int> reaps_{0};
   std::atomic<long> accepted_{0};
+  std::atomic<long> accept_errors_{0};
 
   struct AcceptorState;
   std::unique_ptr<AcceptorState> acc_;

@@ -5,16 +5,22 @@
 // asserting the exact client/server ledger match, a valid structure
 // and a bounded limbo afterwards, plus the injected-crash path
 // (abandon -> -ERR -> re-lease -> supervisor reap) over the wire.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/harness/catalog.hpp"
 #include "src/net/loadgen.hpp"
 #include "src/net/protocol.hpp"
 #include "src/net/server.hpp"
+#include "src/net/socket.hpp"
 
 namespace pragmalist {
 namespace {
@@ -402,6 +408,75 @@ TEST(Server, InfoIsServableWhileServing) {
   EXPECT_NE(info.find("set:singly/ebr/sh8"), std::string::npos);
   EXPECT_NE(info.find("total_ops:0"), std::string::npos);
   EXPECT_NE(info.find("limbo:"), std::string::npos);
+  server.stop();
+}
+
+// Out of fds, accept4 fails with EMFILE while the pending connection
+// keeps the level-triggered listen fd readable. The acceptor must count
+// the failure and stop polling that fd until its next 20 ms tick, not
+// spin on it (a spin makes ~10^5 failed accepts in 200 ms), and must
+// accept the client once fds are free again.
+TEST(Server, AcceptorBacksOffWhenOutOfFds) {
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // The client socket exists before the fd table fills; only its
+  // connect happens while the server is out of fds.
+  net::Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+
+  // Fills the fd table under a lowered RLIMIT_NOFILE; release() (or
+  // the destructor, on an early test exit) frees it again.
+  struct FdTableFiller {
+    rlimit saved{};
+    bool lowered = false;
+    std::vector<int> fds;
+    bool fill() {
+      if (::getrlimit(RLIMIT_NOFILE, &saved) != 0) return false;
+      rlimit low = saved;
+      low.rlim_cur = 256;
+      if (::setrlimit(RLIMIT_NOFILE, &low) != 0) return false;
+      lowered = true;
+      for (int fd; (fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC)) >= 0;)
+        fds.push_back(fd);
+      return errno == EMFILE;
+    }
+    void release() {
+      for (const int fd : fds) ::close(fd);
+      fds.clear();
+      if (lowered) ::setrlimit(RLIMIT_NOFILE, &saved);
+      lowered = false;
+    }
+    ~FdTableFiller() { release(); }
+  } filler;
+  ASSERT_TRUE(filler.fill());
+
+  sockaddr_in addr{};
+  ASSERT_TRUE(net::make_addr("127.0.0.1", server.port(), &addr));
+  ASSERT_EQ(::connect(client.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);  // completes in the listen backlog, before any accept
+  const long before = server.stats().accept_errors;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const long errors = server.stats().accept_errors - before;
+  const long accepted_while_full = server.stats().accepted;
+
+  filler.release();
+  EXPECT_EQ(accepted_while_full, 0);
+  EXPECT_GE(server.stats().accept_errors, 1) << "EMFILE never hit";
+  EXPECT_LE(errors, 20) << "acceptor spun on a readable listen fd";
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (server.stats().accepted < 1 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(server.stats().accepted, 1) << "pending client never accepted";
+  EXPECT_NE(server.info().find("accept_errors:"), std::string::npos);
   server.stop();
 }
 

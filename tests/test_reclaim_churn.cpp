@@ -18,6 +18,7 @@
 
 #include "src/core/iset.hpp"
 #include "src/core/unrolled_family.hpp"
+#include "src/core/variants.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/harness/thread_team.hpp"
 #include "src/workload/rng.hpp"
@@ -368,6 +369,70 @@ TYPED_TEST(UnrolledMergeVsSweep, EveryRetireeWasUnlinkedExactlyOnce) {
               list.live_node_count() + 1 + list.limbo_nodes())
         << "round " << round << " (the 1 is the head sentinel)";
   }
+}
+
+// Span-widening churn for the key-range hint index: each thread's keys
+// climb through five magnitudes (x1, x10^3, ... x10^12), so the
+// index's [lo, hi] span widens by orders of magnitude mid-run and
+// every node published under an older mapping sits in a slot its key
+// no longer routes to. Removers keep retiring those old-magnitude
+// nodes while readers look up across the whole range. purge() scans
+// every slot, so no slot may keep naming a node once it can be freed:
+// under ASan the slab's poisoned slots turn a missed purge into a
+// use-after-poison on the next validation. The node ledger then
+// accounts for every allocation: linked, the head, or in limbo.
+template <typename List>
+class SpanWideningChurn : public ::testing::Test {};
+using SpanWideningLists =
+    ::testing::Types<core::SinglyFetchOrListEbr, core::DoublyCursorListEbr,
+                     core::UnrolledK8ListHp>;
+TYPED_TEST_SUITE(SpanWideningChurn, SpanWideningLists);
+
+TYPED_TEST(SpanWideningChurn, OldMappingRetireesAreNeverReachedThroughHints) {
+  constexpr int kStages = 5;
+  constexpr long kOps = 20000;  // per thread
+  const std::uint64_t seed = test::env_seed(5000);
+  test::ReproOnFailure repro(seed);
+  TypeParam list(alloc::Mode::kSlab);
+  std::vector<core::OpCounters> counters(kThreads);
+  harness::run_team(
+      kThreads,
+      [&](int t) {
+        auto h = list.make_handle();
+        workload::Rng rng(workload::thread_seed(seed, t));
+        for (long i = 0; i < kOps; ++i) {
+          const int stage = static_cast<int>(i * kStages / kOps);
+          // Adds go to the current magnitude; removes and lookups to
+          // any magnitude reached so far.
+          const auto roll = rng.below(100);
+          const int at =
+              roll < 40 ? stage
+                        : static_cast<int>(rng.below(
+                              static_cast<std::uint64_t>(stage) + 1));
+          long mag = 1;
+          for (int s = 0; s < at; ++s) mag *= 1000;
+          const long k = static_cast<long>(rng.below(kUniverse)) * mag;
+          if (roll < 40)
+            h.add(k);
+          else if (roll < 80)
+            h.remove(k);
+          else
+            h.contains(k);
+        }
+        counters[static_cast<std::size_t>(t)] = h.counters();
+      },
+      /*pin=*/false);
+  core::OpCounters agg;
+  for (const auto& c : counters) agg += c;
+
+  std::string err;
+  ASSERT_TRUE(list.validate(&err)) << err;
+  EXPECT_EQ(static_cast<long>(list.size()), agg.adds - agg.rems);
+  EXPECT_GT(agg.rems, 0);
+  EXPECT_GT(agg.hint_hits, 0) << "the hint index was never used";
+  EXPECT_EQ(list.allocated_nodes(),
+            list.linked_node_count() + 1 + list.limbo_nodes())
+      << "(the 1 is the head sentinel)";
 }
 
 }  // namespace
