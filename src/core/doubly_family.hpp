@@ -50,6 +50,7 @@ class DoublyFamilyList {
     MarkPtr<Node> next;
     std::atomic<Node*> back;
     Node* reg_next = nullptr;
+    std::atomic<int> hint_slot{-1};  // HintIndex home slot
 
     Node(long k, Node* succ, Node* pred) : key(k), next(succ), back(pred) {}
   };

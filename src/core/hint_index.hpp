@@ -6,8 +6,10 @@
 // observed key span [lo, hi] (publish widens it; it never shrinks) and
 // splits it into kSlots equal buckets; slot b holds the latest node
 // published into the b-th bucket. best(k) probes bucket(k), then the
-// buckets below it, so the first usable candidate is at most about one
-// bucket width below k whenever the buckets around k are populated.
+// nearest non-empty buckets below it, found through a 1024-bit
+// occupancy bitmap, so the walk starts at the nearest advertised node
+// below k however sparse the index is (a set of a few hundred keys, or
+// one shard of a sharded set, leaves most of the 1024 buckets empty).
 // bucket(k) is one 64x64->128 multiply by a precomputed
 // 2^64 * kSlots / span scale plus a clamp -- no division on the lookup
 // path. lo, hi and the scale are relaxed atomics: a racing widen can
@@ -22,32 +24,56 @@
 // re-read, see best()). A stale hint therefore costs one failed
 // validation and a decay to the next candidate, never correctness.
 //
-// Lifecycle protocol (all slot accesses that matter are seq_cst; the
-// safety argument needs the single total order S):
+// Node contract: besides `key` and `next` (a MarkPtr), a node carries
+//
+//   std::atomic<int> hint_slot{-1};
+//
+// its *home slot*. It is -1 until the node's first publish, which sets
+// it once (CAS -1 -> bucket) for the node's lifetime; the node is only
+// ever published into its home. The constructor's -1 is what makes
+// slab reuse safe: a recycled slot is placement-new'ed, and a node is
+// freed only after its purge, so no stale home survives into the next
+// tenant.
+//
+// Lifecycle protocol (all slot and home accesses that matter are
+// seq_cst; the safety argument needs the single total order S):
 //
 //   publish(k, n)  -- caller guarantees n is covered by its guard and
-//     was observed unmarked during the current op. Store the slot
-//     (node seq_cst), then RE-CHECK n's mark with a no-op RMW
-//     (MarkPtr::load_rmw): an RMW reads the latest value in n->next's
-//     modification order, so it cannot miss a concurrent mark the way
-//     a plain load can. If marked, self-clear the slot (CAS n -> null)
-//     while the guard still covers n.
-//   purge(n)       -- the retiring thread clears every slot holding n
-//     *before* retire(n)/leak(n). With publish-store, re-check RMW and
-//     purge all seq_cst, either publish <S purge (the purge's load
-//     sees n and clears it) or the re-check sees the mark (mark <S
-//     purge <S publish <S re-check would order the re-check after the
-//     mark) and the publisher self-clears. Both ways, no slot names n
-//     once its retirement can free it -- except transiently while some
+//     was observed unmarked during the current op. Read n's home; if
+//     it is -1, CAS it to bucket(k). If the home is not bucket(k) (the
+//     span widened since n's first publish), return without
+//     publishing. Otherwise store the slot (node seq_cst), then
+//     RE-CHECK n's mark with a no-op RMW (MarkPtr::load_rmw): an RMW
+//     reads the latest value in n->next's modification order, so it
+//     cannot miss a concurrent mark the way a plain load can. If
+//     marked, self-clear the slot (CAS n -> null) while the guard
+//     still covers n.
+//   purge(n)       -- the retiring thread clears n's home slot, if it
+//     still names n, *before* retire(n)/leak(n). O(1): one home read
+//     and at most one slot read. Either the purge's home read sees the
+//     home b (the home CAS <S purge): then for a publish store of n
+//     into b, either store <S the purge's slot load, which sees n (or
+//     a later value, which no longer names n) and clears it, or the
+//     load <S store, so mark <S purge <S store <S re-check and the
+//     publisher self-clears. Or the purge reads -1: then purge <S the
+//     home CAS <S every publish store of n, so again mark <S re-check
+//     and the publisher self-clears. Both ways, no slot names n once
+//     its retirement can free it -- except transiently while some
 //     publisher's guard still pins n alive.
-//   best(k, valid) -- probe bucket(k) downward to bucket 0, at most one
-//     validation per slot, so lookup is wait-free: <= kSlots
-//     validations regardless of concurrent writers.
+//   best(k, valid) -- probe bucket(k), then walk the occupancy bitmap
+//     down from it and probe the set bits nearest first. Each slot is
+//     probed and validated at most once, at most kMaxProbes = 18 times
+//     after at most kSlots / 64 = 16 bitmap words, so lookup is
+//     wait-free regardless of concurrent writers. The bitmap is
+//     routing data like the keys: publish sets a slot's bit, the purge
+//     that empties the slot clears it, and a racing pair can leave it
+//     stale either way, which costs one empty probe or hides the slot
+//     until its next publish.
 //
-// The safety argument never mentions the key -> slot mapping: purge
-// scans *every* slot for n, not n's bucket. A widen that moves n's
-// bucket between its publish and its purge therefore cannot strand a
-// slot naming a freed node; it only makes the routing coarser.
+// The safety argument never consults the current key -> slot mapping,
+// only n's home: a widen that moves n's bucket after its first publish
+// stops n from being published again, and purge still clears the one
+// slot n can occupy.
 //
 // Why a validated hint is then safe to dereference, per reclaimer, is
 // the engines' argument (docs/ARCHITECTURE.md "Read path"): the short
@@ -67,7 +93,9 @@ namespace pragmalist::core {
 template <typename Node>
 class HintIndex {
  public:
-  static constexpr int kSlots = 64;
+  static constexpr int kSlots = 1024;
+  /// best() probes at most this many slots per lookup.
+  static constexpr int kMaxProbes = 18;
 
   explicit HintIndex(bool enabled = true) : enabled_(enabled) {}
   HintIndex(const HintIndex&) = delete;
@@ -79,16 +107,26 @@ class HintIndex {
   bool enabled() const { return enabled_; }
 
   /// Publish (key, n) into key's bucket, widening the span first if
-  /// key falls outside it. Caller contract: n is covered by the
+  /// key falls outside it; a no-op unless that bucket is n's home (set
+  /// here on n's first publish). Caller contract: n is covered by the
   /// caller's reclamation guard for the whole call and was observed
   /// unmarked during the current operation. See file comment for the
-  /// re-check/self-clear rule.
+  /// home and re-check/self-clear rules.
   void publish(long key, Node* n) {
     if (!enabled_ || n == nullptr) return;
     widen(key);
     const int b = bucket(key);
+    int home = n->hint_slot.load(std::memory_order_seq_cst);
+    // First publish: home n here. On a lost race `home` reads back the
+    // winner's bucket.
+    if (home < 0 && n->hint_slot.compare_exchange_strong(home, b)) home = b;
+    if (home != b) return;
     keys_[b].store(key, std::memory_order_relaxed);
     nodes_[b].store(n, std::memory_order_seq_cst);
+    std::atomic<std::uint64_t>& word = occupied_[b / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (b % 64);
+    if ((word.load(std::memory_order_relaxed) & bit) == 0)
+      word.fetch_or(bit, std::memory_order_relaxed);
     if (n->next.load_rmw().marked) {
       // n died before (or while) we advertised it: withdraw the hint
       // ourselves -- the retirer's purge may already have run and
@@ -101,45 +139,68 @@ class HintIndex {
     }
   }
 
-  /// Clear every slot naming n -- all kSlots, not just n's bucket, so
-  /// the guarantee holds whatever the span did since n was published.
-  /// MUST run before every retire(n) / leak(n) of a node that may ever
-  /// have been published (engines call it on every retirement path;
-  /// the pointers are packed eight to a cache line, so the miss case
-  /// is eight line reads).
+  /// Clear n's home slot if it still names n: the only slot any
+  /// publish of n can have written, so one home read and at most one
+  /// slot read. MUST run before every retire(n) / leak(n) of a node
+  /// that may ever have been published (engines call it on every
+  /// retirement path).
   void purge(Node* n) {
     if (n == nullptr) return;
-    for (auto& slot : nodes_) {
-      if (slot.load(std::memory_order_seq_cst) != n) continue;
-      Node* expected = n;
-      slot.compare_exchange_strong(expected, nullptr,
-                                   std::memory_order_seq_cst,
-                                   std::memory_order_relaxed);
-    }
+    const int home = n->hint_slot.load(std::memory_order_seq_cst);
+    if (home < 0) return;
+    std::atomic<Node*>& slot = nodes_[home];
+    if (slot.load(std::memory_order_seq_cst) != n) return;
+    Node* expected = n;
+    if (slot.compare_exchange_strong(expected, nullptr,
+                                     std::memory_order_seq_cst,
+                                     std::memory_order_relaxed))
+      occupied_[home / 64].fetch_and(~(std::uint64_t{1} << (home % 64)),
+                                     std::memory_order_relaxed);
   }
 
   /// Nearest validated candidate below `key`, or nullptr (start from
   /// the head). `valid(n, slot)` runs the caller's validation -- key/
   /// mark check under its guard; HP callers additionally kAnchor-
   /// protect n and re-read slot_node(slot) == n before dereferencing.
-  /// Slots are probed from bucket(key) down to 0; empty slots and
-  /// slots whose routing key is not below `key` are skipped, and each
-  /// remaining slot is validated at most once (decay chain: next
-  /// bucket down, then head), so the lookup is wait-free.
+  /// Probes bucket(key) itself, then walks the occupancy bitmap down
+  /// from it, so the next probes go to the nearest non-empty buckets
+  /// below however sparse the index is. Slots that turn out empty or
+  /// whose routing key is not below `key` are skipped. Every slot is
+  /// probed at most once and at most kMaxProbes in all, after at most
+  /// kSlots / 64 bitmap words, so the lookup is wait-free.
   template <typename Validate>
   Node* best(long key, Validate&& valid) const {
     if (!enabled_) return nullptr;
-    for (int b = bucket(key); b >= 0; --b) {
+    const auto probe = [&](int b) -> Node* {
       // The node load must synchronize with the publisher's seq_cst
       // store: validation dereferences plain fields (key, the node's
       // construction), and the publish store is the only edge that
       // orders them after the node's initialization for a reader that
-      // never walked to n. The routing key stays relaxed -- it is
-      // never dereferenced, only compared.
+      // never walked to n. The routing key and the bitmap stay
+      // relaxed -- they are never dereferenced, only compared.
       Node* n = nodes_[b].load(std::memory_order_seq_cst);
-      if (n == nullptr) continue;
-      if (keys_[b].load(std::memory_order_relaxed) >= key) continue;
-      if (valid(n, b)) return n;
+      return n != nullptr &&
+                     keys_[b].load(std::memory_order_relaxed) < key &&
+                     valid(n, b)
+                 ? n
+                 : nullptr;
+    };
+    const int top = bucket(key);
+    // The key's own bucket first, without the bitmap: in a dense index
+    // it usually answers, and the bitmap's lines are the ones purges
+    // write.
+    if (Node* n = probe(top)) return n;
+    int w = top / 64;
+    std::uint64_t bits = occupied_[w].load(std::memory_order_relaxed) &
+                         ((std::uint64_t{1} << (top % 64)) - 1);
+    for (int probes = 1; probes < kMaxProbes; ++probes) {
+      while (bits == 0) {
+        if (w == 0) return nullptr;
+        bits = occupied_[--w].load(std::memory_order_relaxed);
+      }
+      const int high = 63 - __builtin_clzll(bits);
+      bits &= ~(std::uint64_t{1} << high);
+      if (Node* n = probe(w * 64 + high)) return n;
     }
     return nullptr;
   }
@@ -207,10 +268,12 @@ class HintIndex {
   std::atomic<long> hi_{std::numeric_limits<long>::min()};
   std::atomic<std::uint64_t> scale_{0};
   const bool enabled_;
-  // Node pointers and routing keys in separate arrays: purge reads only
-  // the pointers (eight cache lines for all 64 slots).
+  // Node pointers and routing keys in separate arrays (8 KB each): a
+  // probe that finds its slot empty never touches the key line.
   alignas(64) std::atomic<Node*> nodes_[kSlots] = {};
   alignas(64) std::atomic<long> keys_[kSlots] = {};
+  // Occupancy bitmap: bit b % 64 of word b / 64 for slot b.
+  alignas(64) std::atomic<std::uint64_t> occupied_[kSlots / 64] = {};
 };
 
 }  // namespace pragmalist::core

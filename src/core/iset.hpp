@@ -75,8 +75,8 @@ struct OpCounters {
 // the last validated anchor (kept protected across the restart), so
 // the validated key-space prefix is never re-walked; "wait-free
 // lookup" refers to the hint index's candidate selection (one downward
-// pass over the H = 64 key-range buckets, <= H validations),
-// independent of writers.
+// pass over the 1024 key-range buckets' occupancy bitmap, <= 18 slot
+// probes and validations), independent of writers.
 //
 //                     arena / EBR              HP
 //   contains (mild,

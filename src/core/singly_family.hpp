@@ -62,6 +62,7 @@ class SinglyFamilyList {
     long key;
     MarkPtr<Node> next;
     Node* reg_next = nullptr;
+    std::atomic<int> hint_slot{-1};  // HintIndex home slot
 
     explicit Node(long k, Node* succ = nullptr) : key(k), next(succ) {}
   };

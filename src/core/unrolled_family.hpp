@@ -94,6 +94,7 @@ class UnrolledFamilyList {
     Node* reg_next = nullptr;
     std::atomic<std::uint64_t> version{0};  // seqlock; odd = locked
     std::atomic<int> count{0};
+    std::atomic<int> hint_slot{-1};  // HintIndex home, in count's padding
     std::atomic<long> cells[kK];
 
     explicit Node(long anchor, Node* succ = nullptr)

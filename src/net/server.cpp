@@ -118,6 +118,7 @@ struct Server::Worker {
   std::atomic<long> closed{0};
   std::atomic<long> proto_errors{0};
   std::atomic<long> active{0};
+  std::atomic<std::size_t> out_peak{0};  // written by the worker only
 
   // Written by the worker thread only; read after join.
   core::OpCounters folded;
@@ -127,20 +128,27 @@ struct Server::Worker {
   struct Conn {
     explicit Conn(std::size_t max_frame) : parser(max_frame) {}
     protocol::FrameParser parser;
-    std::string out;
-    std::size_t out_off = 0;
-    bool want_write = false;
+    std::string out;                  // encoded replies not yet written
+    std::uint32_t events = EPOLLIN;   // the interest set registered
   };
   std::unordered_map<int, Conn> conns;
+
+  /// How a serve() pass ended.
+  enum class Served { kDrained, kFull, kClosed };
 
   void run();
   void adopt_incoming();
   void handle_io(int fd, std::uint32_t events,
                  std::unique_ptr<core::ISetHandle>& handle);
-  bool handle_frame(Conn& conn, const std::vector<std::string>& args,
+  /// Dispatch buffered frames and read more while conn.out is under
+  /// kMaxPendingOut: kDrained once the socket has nothing more, kFull
+  /// at the cap, kClosed if the connection is gone.
+  Served serve(int fd, Conn& conn, std::unique_ptr<core::ISetHandle>& handle);
+  void handle_frame(Conn& conn, const std::vector<std::string>& args,
                     std::unique_ptr<core::ISetHandle>& handle);
-  /// Write as much buffered output as the socket takes; false when the
-  /// connection died under us.
+  /// Write as much buffered output as the socket takes, then re-arm
+  /// the interest set: EPOLLIN only under the cap, EPOLLOUT while
+  /// output is pending. False when the connection died under us.
   bool flush(int fd, Conn& conn);
   void close_conn(int fd);
 };
@@ -202,33 +210,31 @@ void Server::Worker::handle_io(int fd, std::uint32_t events,
     return;
   }
 
-  if ((events & EPOLLIN) != 0) {
-    char buf[4096];
-    for (;;) {
-      const ssize_t r = ::read(fd, buf, sizeof(buf));
-      if (r > 0) {
-        conn.parser.feed(buf, static_cast<std::size_t>(r));
-        if (r < static_cast<ssize_t>(sizeof(buf))) break;
-      } else if (r == 0) {
-        // Abrupt client disconnect: drop the connection state (a
-        // half-buffered frame simply evaporates). The worker's lease
-        // is untouched -- it belongs to the worker, not the client.
-        close_conn(fd);
-        return;
-      } else {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        close_conn(fd);
-        return;
-      }
+  // Readable, or writable again after the cap stopped the reads: a
+  // client that pipelines without reading its replies is served only
+  // as fast as it drains them. Frames already buffered in the parser
+  // are served first, so a drain resumes them without new input.
+  for (;;) {
+    Served st = Served::kFull;
+    if (conn.out.size() < kMaxPendingOut) {
+      st = serve(fd, conn, handle);
+      if (st == Served::kClosed) return;
     }
+    if (!flush(fd, conn)) return;
+    // Stopped at the cap, and the socket has since taken enough output
+    // to go on: serve the rest now rather than on the next wakeup.
+    if (st != Served::kFull || conn.out.size() >= kMaxPendingOut) return;
+  }
+}
 
-    std::vector<std::string> args;
-    for (;;) {
+Server::Worker::Served Server::Worker::serve(
+    int fd, Conn& conn, std::unique_ptr<core::ISetHandle>& handle) {
+  std::vector<std::string> args;
+  bool drained = false;
+  for (;;) {
+    while (conn.out.size() < kMaxPendingOut) {
       const protocol::ParseStatus st = conn.parser.next(&args);
-      if (st == protocol::ParseStatus::kFrame) {
-        if (!handle_frame(conn, args, handle)) break;
-        continue;
-      }
+      if (st == protocol::ParseStatus::kNeedMore) break;
       if (st == protocol::ParseStatus::kError) {
         // A malformed stream cannot be resynchronized: report, flush
         // best effort, close.
@@ -237,16 +243,31 @@ void Server::Worker::handle_io(int fd, std::uint32_t events,
                                "ERR protocol: " + conn.parser.error());
         flush(fd, conn);
         close_conn(fd);
-        return;
+        return Served::kClosed;
       }
-      break;  // kNeedMore
+      handle_frame(conn, args, handle);
+    }
+    if (conn.out.size() >= kMaxPendingOut) return Served::kFull;
+    if (drained) return Served::kDrained;
+
+    char buf[4096];
+    const ssize_t r = ::read(fd, buf, sizeof(buf));
+    if (r > 0) {
+      conn.parser.feed(buf, static_cast<std::size_t>(r));
+      drained = r < static_cast<ssize_t>(sizeof(buf));
+    } else if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      return Served::kDrained;
+    } else {
+      // Disconnect (r == 0) or a hard error: drop the connection state
+      // (a half-buffered frame simply evaporates). The worker's lease
+      // is untouched -- it belongs to the worker, not the client.
+      close_conn(fd);
+      return Served::kClosed;
     }
   }
-
-  flush(fd, conn);
 }
 
-bool Server::Worker::handle_frame(Conn& conn,
+void Server::Worker::handle_frame(Conn& conn,
                                   const std::vector<std::string>& args,
                                   std::unique_ptr<core::ISetHandle>& handle) {
   frames.fetch_add(1, std::memory_order_relaxed);
@@ -276,7 +297,7 @@ bool Server::Worker::handle_frame(Conn& conn,
     folded += handle->counters();
     handle.reset();                       // destroy the crashed shell
     handle = server->set_->make_handle();  // re-lease
-    return true;
+    return;
   }
 
   const std::uint64_t t0 =
@@ -289,31 +310,31 @@ bool Server::Worker::handle_frame(Conn& conn,
     if (server->cfg_.record_latency)
       profile.of(out.cls).record(harness::lat_now_ns() - t0);
   }
-  return true;
 }
 
 bool Server::Worker::flush(int fd, Conn& conn) {
-  while (conn.out_off < conn.out.size()) {
-    const ssize_t n = ::write(fd, conn.out.data() + conn.out_off,
-                              conn.out.size() - conn.out_off);
+  if (conn.out.size() > out_peak.load(std::memory_order_relaxed))
+    out_peak.store(conn.out.size(), std::memory_order_relaxed);
+  std::size_t off = 0;
+  while (off < conn.out.size()) {
+    const ssize_t n =
+        ::write(fd, conn.out.data() + off, conn.out.size() - off);
     if (n > 0) {
-      conn.out_off += static_cast<std::size_t>(n);
+      off += static_cast<std::size_t>(n);
     } else if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn.want_write) {
-        conn.want_write = true;
-        ep.mod(fd, EPOLLIN | EPOLLOUT);
-      }
-      return true;
+      break;
     } else {
       close_conn(fd);
       return false;
     }
   }
-  conn.out.clear();
-  conn.out_off = 0;
-  if (conn.want_write) {
-    conn.want_write = false;
-    ep.mod(fd, EPOLLIN);
+  conn.out.erase(0, off);
+  const std::uint32_t want =
+      (conn.out.size() < kMaxPendingOut ? EPOLLIN : 0u) |
+      (conn.out.empty() ? 0u : EPOLLOUT);
+  if (want != conn.events) {
+    conn.events = want;
+    ep.mod(fd, want);
   }
   return true;
 }
@@ -513,6 +534,8 @@ ServerStats Server::stats() const {
     s.closed += w->closed.load(std::memory_order_relaxed);
     s.frames += w->frames.load(std::memory_order_relaxed);
     s.protocol_errors += w->proto_errors.load(std::memory_order_relaxed);
+    s.out_peak =
+        std::max(s.out_peak, w->out_peak.load(std::memory_order_relaxed));
   }
   s.faults_fired = faults_fired_.load(std::memory_order_relaxed);
   s.reaps = reaps_.load(std::memory_order_relaxed);

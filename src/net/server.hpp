@@ -58,6 +58,12 @@ DispatchOutcome dispatch_request(
     const std::vector<std::string>& args, core::ISetHandle& handle,
     std::string& out, const std::function<std::string()>& info = nullptr);
 
+/// Per-connection reply backlog cap. A connection whose unwritten
+/// replies reach it is neither read nor parsed until the socket drains
+/// it below the cap, so a client that pipelines without reading holds
+/// at most this plus one reply on the server.
+inline constexpr std::size_t kMaxPendingOut = 1 << 20;
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   int port = 0;  // 0 = ephemeral; Server::port() reports the binding
@@ -85,6 +91,7 @@ struct ServerStats {
   long protocol_errors = 0; // malformed streams (connection closed)
   int faults_fired = 0;
   int reaps = 0;            // crashed leases reaped by the supervisor
+  std::size_t out_peak = 0; // largest reply backlog one connection held
 };
 
 class Server {

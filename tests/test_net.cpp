@@ -10,6 +10,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <set>
 #include <string>
@@ -395,6 +396,108 @@ TEST(Loopback, InjectedCrashReLeasesAndReaps) {
   const faults::BlastStats blast = server.set().blast_stats();
   EXPECT_EQ(blast.crashed_slots, 0u);
   EXPECT_EQ(blast.leaked_cells, 0u);
+}
+
+// A client that pipelines far more than the reply cap and reads
+// nothing: the server must stop reading and parsing once a connection
+// holds kMaxPendingOut bytes of unwritten replies, instead of buffering
+// every reply, and resume as the client drains them. Every reply still
+// arrives, in request order.
+TEST(Server, SlowReaderBacklogIsCapped) {
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  // Blocking client with a small fixed receive window, so the kernel
+  // absorbs little of the reply stream and the server-side cap is what
+  // bounds it.
+  net::Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(client.valid());
+  const int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(client.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                         sizeof(rcvbuf)),
+            0);
+  sockaddr_in addr{};
+  ASSERT_TRUE(net::make_addr("127.0.0.1", server.port(), &addr));
+  ASSERT_EQ(::connect(client.get(), reinterpret_cast<sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // SET every third key below kKeys, then GET i % kKeys for i < kGets:
+  // every reply is 4 bytes and its value is known, so the stream is
+  // checked exactly, and aperiodic enough that a lost, duplicated or
+  // reordered reply shows. The ~8 MB of replies outgrow the kernel's
+  // socket buffers (a 4 MB send buffer at most by default) plus the
+  // cap, so the server must stall.
+  constexpr long kKeys = 1009;
+  constexpr long kSets = (kKeys + 2) / 3;
+  constexpr long kGets = 2'000'000;
+  const auto key_of = [](long i) { return i < kSets ? 3 * i : i % kKeys; };
+  const auto reply_of = [&](long i) {
+    return i < kSets || key_of(i) % 3 == 0 ? ":1\r\n" : ":0\r\n";
+  };
+  constexpr std::size_t kReply = 4;
+
+  std::size_t sent = 0;
+  std::thread writer([&] {
+    std::string batch;
+    for (long i = 0; i < kSets + kGets;) {
+      batch.clear();
+      for (const long end = std::min(i + 4096, kSets + kGets); i < end; ++i)
+        batch += frame_of({i < kSets ? "SET" : "GET",
+                           std::to_string(key_of(i))});
+      for (std::size_t off = 0; off < batch.size();) {
+        const ssize_t n =
+            ::write(client.get(), batch.data() + off, batch.size() - off);
+        if (n <= 0) return;
+        off += static_cast<std::size_t>(n);
+      }
+      sent += batch.size();
+    }
+  });
+
+  // The server fills the connection's backlog to the cap, then stops.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (server.stats().out_peak < net::kMaxPendingOut &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // A GET reply is 4 bytes, the largest this stream can produce.
+  constexpr std::size_t kBound = net::kMaxPendingOut + kReply;
+  EXPECT_GE(server.stats().out_peak, net::kMaxPendingOut)
+      << "the backlog never reached the cap";
+  EXPECT_LE(server.stats().out_peak, kBound);
+  EXPECT_LT(server.stats().frames, kSets + kGets)
+      << "the server kept parsing";
+
+  long replies = 0;
+  long first_bad = -1;
+  std::string pending;
+  char buf[65536];
+  while (replies < kSets + kGets) {
+    const ssize_t n = ::read(client.get(), buf, sizeof(buf));
+    if (n <= 0) break;
+    pending.append(buf, static_cast<std::size_t>(n));
+    std::size_t off = 0;
+    for (; off + kReply <= pending.size(); off += kReply, ++replies) {
+      if (first_bad < 0 &&
+          pending.compare(off, kReply, reply_of(replies)) != 0)
+        first_bad = replies;
+    }
+    pending.erase(0, off);
+  }
+  writer.join();
+  EXPECT_GT(sent, 10u * 1000 * 1000);
+  EXPECT_EQ(replies, kSets + kGets);
+  EXPECT_TRUE(pending.empty());
+  EXPECT_EQ(first_bad, -1) << "replies diverge from request order";
+  EXPECT_LE(server.stats().out_peak, kBound);
+  EXPECT_EQ(server.stats().frames, kSets + kGets);
+  server.stop();
 }
 
 TEST(Server, InfoIsServableWhileServing) {

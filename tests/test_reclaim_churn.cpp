@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/iset.hpp"
@@ -376,11 +377,13 @@ TYPED_TEST(UnrolledMergeVsSweep, EveryRetireeWasUnlinkedExactlyOnce) {
 // index's [lo, hi] span widens by orders of magnitude mid-run and
 // every node published under an older mapping sits in a slot its key
 // no longer routes to. Removers keep retiring those old-magnitude
-// nodes while readers look up across the whole range. purge() scans
-// every slot, so no slot may keep naming a node once it can be freed:
-// under ASan the slab's poisoned slots turn a missed purge into a
-// use-after-poison on the next validation. The node ledger then
-// accounts for every allocation: linked, the head, or in limbo.
+// nodes while readers look up across the whole range. A node is only
+// ever published into its home slot, the bucket of its first publish,
+// and purge() clears that slot, so no slot may keep naming a node once
+// it can be freed: under ASan the slab's poisoned slots turn a missed
+// purge into a use-after-poison on the next validation. The node
+// ledger then accounts for every allocation: linked, the head, or in
+// limbo.
 template <typename List>
 class SpanWideningChurn : public ::testing::Test {};
 using SpanWideningLists =
@@ -433,6 +436,55 @@ TYPED_TEST(SpanWideningChurn, OldMappingRetireesAreNeverReachedThroughHints) {
   EXPECT_EQ(list.allocated_nodes(),
             list.linked_node_count() + 1 + list.limbo_nodes())
       << "(the 1 is the head sentinel)";
+}
+
+// Lock-step drain rounds, the shape of the paper's same-keys worst
+// case: all threads add 0..kKeys-1, meet, then all remove 0..kKeys-1.
+// The adds publish one node per hint bucket in turn; the removes then
+// empty the buckets below every key, so each lookup scans the
+// occupancy bitmap down to bucket 0 past emptied slots and bits that
+// purges race to clear, and every removal runs the one-slot purge. Over slab memory a slot left naming a freed
+// node is a use-after-poison under ASan on the next validation. After
+// each round the structure validates, the op ledger balances (each key
+// added and removed exactly once) and every allocation is linked, the
+// head, or in limbo.
+template <typename List>
+class LockStepDrainChurn : public ::testing::Test {};
+using LockStepDrainLists =
+    ::testing::Types<core::SinglyFetchOrListEbr, core::DoublyCursorListHp,
+                     core::UnrolledK8ListEbr>;
+TYPED_TEST_SUITE(LockStepDrainChurn, LockStepDrainLists);
+
+TYPED_TEST(LockStepDrainChurn, EveryRoundDrainsToAnExactLedger) {
+  constexpr long kKeys = 4096;
+  constexpr int kRounds = 6;
+  TypeParam list(alloc::Mode::kSlab);
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> arrived{0};
+    std::vector<core::OpCounters> counters(kThreads);
+    harness::run_team(
+        kThreads,
+        [&](int t) {
+          auto h = list.make_handle();
+          for (long k = 0; k < kKeys; ++k) h.add(k);
+          arrived.fetch_add(1);
+          while (arrived.load() < kThreads) std::this_thread::yield();
+          for (long k = 0; k < kKeys; ++k) h.remove(k);
+          counters[static_cast<std::size_t>(t)] = h.counters();
+        },
+        /*pin=*/false);
+    core::OpCounters agg;
+    for (const auto& c : counters) agg += c;
+
+    std::string err;
+    ASSERT_TRUE(list.validate(&err)) << "round " << round << ": " << err;
+    EXPECT_EQ(agg.adds, kKeys) << "round " << round;
+    EXPECT_EQ(agg.rems, kKeys) << "round " << round;
+    EXPECT_EQ(list.size(), 0u) << "round " << round;
+    EXPECT_EQ(list.allocated_nodes(),
+              list.linked_node_count() + 1 + list.limbo_nodes())
+        << "round " << round << " (the 1 is the head sentinel)";
+  }
 }
 
 }  // namespace
