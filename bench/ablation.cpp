@@ -1,6 +1,7 @@
-// Ablation bench for the design choices DESIGN.md §2 calls out. Each
-// section isolates one knob by comparing two catalog entries that
-// differ only in that knob, on both benchmark families:
+// Ablation bench for the design knobs of the paper's §2 (rows and ids
+// in docs/CATALOG.md). Each section isolates one knob by comparing two
+// catalog entries that differ only in that knob, on both benchmark
+// families:
 //   cursor:          b) singly        vs d) singly_cursor
 //   marking:         d) singly_cursor vs e) singly_fetch_or
 //   linkage:         d) singly_cursor vs f) doubly_cursor

@@ -82,11 +82,18 @@
 // sees the protection), and an EBR reader pinned late enough to allow
 // the free must have pinned after an epoch advance that happens-after
 // the purge, so it reads the cleared slot.
+//
+// The caller half of the protocol -- validating a candidate, the
+// publish throttle and contract, purge-before-retire on a detached
+// run -- is the free helpers in namespace hint below, which every
+// engine calls instead of spelling the rules out again.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <limits>
+
+#include "src/core/list_base.hpp"
 
 namespace pragmalist::core {
 
@@ -276,4 +283,65 @@ class HintIndex {
   alignas(64) std::atomic<std::uint64_t> occupied_[kSlots / 64] = {};
 };
 
+/// Engine glue for the hint index: the caller contract, once. `rh` is
+/// the caller's per-thread reclaim handle, reached through `->` (the
+/// engines pass the MaybeOwned that holds it).
+namespace hint {
+
+/// Validated candidate for a walk toward `key`, or nullptr. Without
+/// hazards (arena/EBR) the check is key/mark only: arena addresses are
+/// stable, and under EBR the caller's pin plus the purge/advance order
+/// keep a slot-visible node allocated. With hazards the candidate is
+/// kAnchor-protected first and the slot re-read seq_cst: still naming
+/// it orders the protection before any purge, hence before the retire
+/// that could free it. Either way the candidate stays covered through
+/// the caller's start-node pick.
+template <bool kHazards, typename Node, typename ReclaimRef>
+inline Node* start(const HintIndex<Node>& hints, ReclaimRef& rh, long key) {
+  if constexpr (kHazards) {
+    return hints.best(key, [&](Node* n, int slot) {
+      rh->protect(hazard::kAnchor, n);
+      if (hints.slot_node(slot) != n) return false;
+      return n->key < key && !n->next.load().marked;
+    });
+  } else {
+    return hints.best(key, [&](Node* n, int) {
+      return n->key < key && !n->next.load().marked;
+    });
+  }
+}
+
+/// Advertise `n`, 1 op in 8 per handle (`tick` is the handle's
+/// counter): the slots go stale in well under 8 ops' time only under
+/// adversarial churn, and a publish is two seq_cst accesses -- too dear
+/// for every contains. Caller contract: n is covered by the caller's
+/// guard (HP: a hazard slot) and was observed unmarked during this op.
+/// The head sentinel is never advertised.
+template <typename Node>
+inline void maybe_publish(HintIndex<Node>& hints, unsigned& tick,
+                          const Node* head, Node* n) {
+  if (!hints.enabled()) return;
+  if (n == nullptr || n == head) return;
+  if ((++tick & 7u) != 0) return;
+  hints.publish(n->key, n);
+}
+
+/// Retire every node of the detached run [first, last), purging each
+/// first: no slot may name a node once retire can free it. After the
+/// sweep CAS the frozen chain is reachable only by threads that entered
+/// it earlier, and only the detacher may retire it. Reclaiming
+/// policies only.
+template <typename Node, typename ReclaimRef>
+inline void retire_run(HintIndex<Node>& hints, ReclaimRef& rh, Node* first,
+                       Node* last) {
+  Node* n = first;
+  while (n != last) {
+    Node* next = n->next.load().ptr;  // read before retire: may free n
+    hints.purge(n);
+    rh->retire(n);
+    n = next;
+  }
+}
+
+}  // namespace hint
 }  // namespace pragmalist::core

@@ -96,8 +96,8 @@ struct OpCounters {
 //                     insert-CAS losses resume from prev
 //
 // The arena/EBR mild `contains` column is the paper's claim made
-// enforceable: the walk in SinglyFamilyList::do_contains /
-// DoublyFamilyList::do_contains issues no CAS and never loops back --
+// enforceable: the walk in ListFamily::do_contains (every one-key
+// row, back pointers or not) issues no CAS and never loops back --
 // the engines export kContainsCasFree / kContainsRestartFree and
 // variants.hpp static_asserts the whole grid, so a regression that
 // adds a CAS or a restart to that path fails to compile, not to

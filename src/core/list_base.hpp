@@ -26,12 +26,13 @@ namespace pragmalist::core {
 
 inline constexpr std::uintptr_t kMarkBit = 1;
 
-// Design knobs of the paper's variants; see singly_family.hpp for the
-// full semantics of each.
+// Design knobs of the paper's variants; see the list engine
+// (singly_family.hpp) for the full semantics of each.
 enum class Traversal { kDraconic, kMild };
 enum class Marking { kCas, kFetchOr };
 enum class Cursor { kNone, kPerHandle };
 enum class Backoff { kNone, kExponential };
+enum class Back { kNone, kImprecise, kPrecise };
 
 /// Bounded exponential backoff for CAS retry loops (the ablation's
 /// `backoff` knob). Starts at 16 pause iterations, doubles to 1024.
@@ -181,7 +182,7 @@ class AllocRegistry {
 };
 
 /// The anchored-validation hazard-pointer traversal shared by the list
-/// families (used whenever the reclamation policy sets kHazards).
+/// engines (used whenever the reclamation policy sets kHazards).
 ///
 /// Plain hazard pointers are incompatible with traversals that step
 /// over marked nodes (Michael, TPDS'04): a marked node's next pointer
@@ -206,15 +207,15 @@ namespace hazard {
 inline constexpr int kAnchor = 0;  // last live predecessor `prev`
 inline constexpr int kWalk = 1;    // the node the walk stands on
 inline constexpr int kRun = 2;     // current dead run's head; reused as
-                                   // the doubly family's succ pin
+                                   // the back-pointer refresh's succ pin
 inline constexpr int kCursor = 3;  // per-handle cursor, held across ops
 
 // The persistent kCursor cell is a per-*thread* resource: under a
 // sharded set many list engines borrow one reclaim handle, so the cell
 // carries an owner tag (reclaim::Hp::Handle::cursor_owner) naming the
 // engine whose cursor it currently protects. These three helpers are
-// the whole protocol -- both list families use them verbatim, so the
-// rules live once:
+// the whole protocol -- the list engine and the unrolled engine use
+// them verbatim, so the rules live once:
 //   * only the owner may clear the cell (another engine's cursor may
 //     be parked there);
 //   * publishing stamps the caller as owner;
@@ -368,7 +369,7 @@ WalkPos<Node> anchored_walk(ReclaimHandle& rh, long key, StartFn&& start_node,
 
 }  // namespace hazard
 
-/// Traversal-start selection shared by the list families. Two
+/// Traversal-start selection shared by the list engines. Two
 /// independent shortcut mechanisms can propose a start anchor for the
 /// same search -- the per-handle cursor (Cursor::kPerHandle) and the
 /// set-wide hint index (hint_index.hpp) -- and before this helper each

@@ -1,6 +1,6 @@
-// The singly-linked variants of the paper, one engine templated on the
-// three design knobs the ablation bench isolates plus a pluggable
-// memory-reclamation policy:
+// The paper's one-key-per-node lists (variants a-f and the ablation
+// configurations): one engine templated on the design knobs the
+// ablation bench isolates plus a pluggable memory-reclamation policy:
 //
 //   Traversal::kDraconic  -- Michael-style: a traversal may never pass a
 //     marked node; it must unlink it first and restart from the head
@@ -15,6 +15,19 @@
 //     it stood on and starts the next search there when the target key
 //     is larger.
 //   Backoff::kExponential -- exponential backoff on retry loops.
+//   Back::kImprecise / kPrecise -- the paper's approximate backwards
+//     pointers (variants c and f): an unsynchronized back hint per node
+//     naming some node with a strictly smaller key (initially the
+//     insert predecessor). Following back pointers from a dead start,
+//     cursor or resume point reaches a live node below the target, so
+//     the walk resumes there instead of at the head. kPrecise also
+//     refreshes the survivor's hint after every sweep, insert and
+//     unlink so it stays one hop tight (ablation id
+//     `doubly_cursor_noprec` is kImprecise). The hint is never part of
+//     the membership argument, and it is never cleaned when its target
+//     dies: only the arena's stable addresses let the engine follow
+//     it. Under EBR and HP the hints are maintained but never followed,
+//     and a dead start falls to the Back::kNone rule.
 //
 //   ReclaimPolicy (src/reclaim/) -- reclaim::Arena is the paper's
 //     scheme: nothing is freed mid-run, stale pointers stay valid,
@@ -33,11 +46,13 @@
 // under HP -- they pay publish+revalidate per step instead.
 //
 // Instantiations (paper letters): a) DraconicList, b) SinglyList,
-// d) SinglyCursorList, e) SinglyFetchOrList, plus the ablation-only
-// SinglyCursorBackoffList. The variant x reclaimer grid is named in
-// variants.hpp.
+// c) DoublyList, d) SinglyCursorList, e) SinglyFetchOrList,
+// f) DoublyCursorList, plus the ablation-only SinglyCursorBackoffList
+// and DoublyCursorNoPrecList, with the `With<R>` alias templates at
+// the bottom naming every variant x reclaimer cell.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -54,18 +69,40 @@
 
 namespace pragmalist::core {
 
+/// A node's back hint, or nothing: an empty base, so a Back::kNone node
+/// keeps its four-word layout.
+template <typename Node, bool kOn>
+struct BackLink {
+  explicit BackLink(Node*) {}
+};
+template <typename Node>
+struct BackLink<Node, true> {
+  explicit BackLink(Node* pred) : back(pred) {}
+  std::atomic<Node*> back;
+};
+
 template <Traversal kTraversal, Marking kMarking, Cursor kCursor,
-          Backoff kBackoff,
+          Backoff kBackoff, Back kBack,
           template <typename> class ReclaimPolicy = reclaim::Arena>
-class SinglyFamilyList {
-  struct Node {
+class ListFamily {
+  static_assert(kBack == Back::kNone || kTraversal == Traversal::kMild,
+                "back pointers ride on the mild traversal");
+
+  struct Node : BackLink<Node, kBack != Back::kNone> {
     long key;
     MarkPtr<Node> next;
     Node* reg_next = nullptr;
     std::atomic<int> hint_slot{-1};  // HintIndex home slot
 
-    explicit Node(long k, Node* succ = nullptr) : key(k), next(succ) {}
+    explicit Node(long k, Node* succ = nullptr, Node* pred = nullptr)
+        : BackLink<Node, kBack != Back::kNone>(pred), key(k), next(succ) {}
   };
+  // Node memory is what rss_peak_mb measures: the back field must not
+  // leak into the rows without back pointers.
+  static_assert(kBack != Back::kNone || sizeof(Node) == 4 * sizeof(void*),
+                "a node without back pointers is four words");
+  static_assert(kBack == Back::kNone || sizeof(Node) == 5 * sizeof(void*),
+                "a back pointer costs exactly one word");
 
  public:
   /// The reclamation *domain* this engine runs against. Stand-alone
@@ -92,6 +129,10 @@ class SinglyFamilyList {
 
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
+  // Back hints are followed only where addresses are stable (the
+  // arena); a reclaimer may have freed a hint's target.
+  static constexpr bool kHopBack =
+      kBack != Back::kNone && Reclaim::kStableAddresses;
   // Cursors hold a node pointer across operations; every reclaimer
   // says when that pointer may be followed through its cursor-validity
   // capability (reclaim.hpp): always under the arena (stable addresses)
@@ -120,18 +161,18 @@ class SinglyFamilyList {
     Handle& operator=(const Handle&) = delete;
 
    private:
-    friend class SinglyFamilyList;
+    friend class ListFamily;
     friend class CountingHandle<Handle>;
     bool add_raw(long key) { return list_->do_add(*this, key); }
     bool remove_raw(long key) { return list_->do_remove(*this, key); }
     bool contains_raw(long key) { return list_->do_contains(*this, key); }
 
-    Handle(SinglyFamilyList* list, ReclaimHandle rh)  // owning
+    Handle(ListFamily* list, ReclaimHandle rh)  // owning
         : list_(list), rh_(std::move(rh)) {}
-    Handle(SinglyFamilyList* list, ReclaimHandle* rh)  // borrowing
+    Handle(ListFamily* list, ReclaimHandle* rh)  // borrowing
         : list_(list), rh_(rh) {}
 
-    SinglyFamilyList* list_;
+    ListFamily* list_;
     // Stand-alone handles own their reclaim handle; shard handles
     // borrow the one their worker leased for the whole sharded set.
     reclaim::MaybeOwned<ReclaimHandle> rh_;
@@ -140,20 +181,20 @@ class SinglyFamilyList {
     unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
   };
 
-  explicit SinglyFamilyList(std::shared_ptr<Reclaim> domain = nullptr,
-                            bool hints = true)
+  explicit ListFamily(std::shared_ptr<Reclaim> domain = nullptr,
+                      bool hints = true)
       : domain_(domain ? std::move(domain) : std::make_shared<Reclaim>()),
         head_(domain_->construct(kSentinelKey)),
         hints_(hints) {
     domain_->track(head_);
   }
   /// Stand-alone list with an explicit allocation mode (slab twins).
-  explicit SinglyFamilyList(alloc::Mode mode, bool hints = true)
-      : SinglyFamilyList(std::make_shared<Reclaim>(mode), hints) {}
-  SinglyFamilyList(const SinglyFamilyList&) = delete;
-  SinglyFamilyList& operator=(const SinglyFamilyList&) = delete;
+  explicit ListFamily(alloc::Mode mode, bool hints = true)
+      : ListFamily(std::make_shared<Reclaim>(mode), hints) {}
+  ListFamily(const ListFamily&) = delete;
+  ListFamily& operator=(const ListFamily&) = delete;
 
-  ~SinglyFamilyList() {
+  ~ListFamily() {
     if constexpr (Reclaim::kReclaims) {
       // The arena owns every node it tracked; a reclaiming policy only
       // owns the retired ones, so the still-linked chain (live or
@@ -178,7 +219,26 @@ class SinglyFamilyList {
   // --- quiescent API ------------------------------------------------
 
   bool validate(std::string* err) const {
-    return quiescent::validate_chain(head_, domain_->live_nodes() + 1, err);
+    if (!quiescent::validate_chain(head_, domain_->live_nodes() + 1, err))
+      return false;
+    if constexpr (kHopBack) {
+      // Every linked node's back hint has a strictly smaller key (or is
+      // the head). Only checkable under stable addresses: elsewhere a
+      // hint may dangle and is never dereferenced, by us or the engine.
+      for (const Node* n = head_->next.load_ptr(); n != nullptr;
+           n = n->next.load().ptr) {
+        const Node* b = n->back.load(std::memory_order_relaxed);
+        if (b == nullptr) {
+          if (err) *err = "node with null back pointer";
+          return false;
+        }
+        if (b != head_ && b->key >= n->key) {
+          if (err) *err = "back pointer does not decrease the key";
+          return false;
+        }
+      }
+    }
+    return true;
   }
   std::size_t size() const { return quiescent::size(head_); }
   std::vector<long> snapshot() const { return quiescent::snapshot(head_); }
@@ -247,39 +307,30 @@ class SinglyFamilyList {
     if constexpr (kHazards) hazard::release_cursor(*h.rh_, this);
   }
 
-  /// Validated hint-index candidate for a traversal toward `key`, or
-  /// nullptr. Arena/EBR flavor: key/mark check only (arena addresses
-  /// are stable; under EBR the caller's pin plus the purge/advance
-  /// ordering keep a slot-visible node allocated -- see
-  /// hint_index.hpp). HP flavor: kAnchor-protect the candidate, then
-  /// re-read the slot seq_cst -- still naming it means the protection
-  /// is ordered before any purge, hence before the retire that could
-  /// free it -- then the same key/mark check. Either way the candidate
-  /// stays covered through the caller's start-node pick.
+  /// The hint index's caller glue (hint_index.hpp, namespace hint).
   Node* hint_start(Handle& h, long key) {
-    if constexpr (kHazards) {
-      return hints_.best(key, [&](Node* n, int slot) {
-        h.rh_->protect(hazard::kAnchor, n);
-        if (hints_.slot_node(slot) != n) return false;
-        return n->key < key && !n->next.load().marked;
-      });
-    } else {
-      return hints_.best(key, [&](Node* n, int) {
-        return n->key < key && !n->next.load().marked;
-      });
-    }
+    return hint::start<kHazards>(hints_, h.rh_, key);
+  }
+  void maybe_publish(Handle& h, Node* n) {
+    hint::maybe_publish(hints_, h.hint_tick_, head_, n);
   }
 
-  /// Advertise `n` in the hint index, 1 op in 8 (the slots go stale in
-  /// well under 8 ops' time only under adversarial churn, and the
-  /// publish is two seq_cst accesses -- too dear for every contains).
-  /// Caller contract (hint_index.hpp): n covered by the caller's guard
-  /// (HP: a hazard slot) and observed unmarked during this op.
-  void maybe_publish(Handle& h, Node* n) {
-    if (!hints_.enabled()) return;
-    if (n == nullptr || n == head_) return;
-    if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n->key, n);
+  /// kHopBack only: the nearest live node at or before `n` along back
+  /// hints. Keys strictly decrease along them, so the hop ends at the
+  /// head at worst.
+  Node* recover(Node* n) const {
+    while (n != head_ && n->next.load().marked)
+      n = n->back.load(std::memory_order_acquire);
+    return n;
+  }
+
+  /// Back::kPrecise: `pred` now sits right before `n`, make it n's back
+  /// hint. The caller keeps n covered (arena: stable; EBR: the op's
+  /// pin; HP: a hazard slot), so the write never hits freed memory.
+  static void refresh_back(Node* n, Node* pred) {
+    if constexpr (kBack == Back::kPrecise) {
+      if (n != nullptr) n->back.store(pred, std::memory_order_release);
+    }
   }
 
   Node* start_node(Handle& h, long key) {
@@ -294,6 +345,15 @@ class SinglyFamilyList {
       // it before any load (always valid under the arena and HP).
       if (!h.rh_->cursor_valid(h.cursor_stamp_)) h.cursor_ = nullptr;
       c = h.cursor_;
+      if constexpr (kHopBack) {
+        // A dead cursor hops back to its nearest live predecessor
+        // instead of being dropped; reaching the head drops it.
+        if (c != nullptr && c->key < key) c = recover(c);
+        if (c == head_) {
+          drop_cursor(h);
+          c = nullptr;
+        }
+      }
       if (c != nullptr && !(c->key < key && !c->next.load().marked)) {
         // Unmarked implies still physically linked (nodes are only ever
         // unlinked after being marked), so the suffix from a validated
@@ -323,19 +383,9 @@ class SinglyFamilyList {
     }
   }
 
-  /// Retire every node of the detached run [first, last): after the
-  /// sweep CAS succeeded the frozen chain is reachable only by threads
-  /// that entered it earlier, and only the detacher may retire it.
   void retire_run(Handle& h, Node* first, Node* last) {
-    if constexpr (Reclaim::kReclaims) {
-      Node* n = first;
-      while (n != last) {
-        Node* next = n->next.load().ptr;  // read before retire: a scan
-        hints_.purge(n);  // no slot may name n once retire can free it
-        h.rh_->retire(n);                  // may free n immediately
-        n = next;
-      }
-    }
+    if constexpr (Reclaim::kReclaims)
+      hint::retire_run(hints_, h.rh_, first, last);
   }
 
   /// `from`, when non-null, is a node with key < `key` that this
@@ -359,7 +409,10 @@ class SinglyFamilyList {
       Node* prev = start;
       const auto pv = prev->next.load();
       if (pv.marked) {  // cursor start died between check and here
-        start = head_;
+        if constexpr (kHopBack)
+          start = recover(start);
+        else
+          start = head_;
         continue;
       }
       Node* left_next = pv.ptr;  // the value we will CAS against at prev
@@ -395,6 +448,7 @@ class SinglyFamilyList {
         if (left_next == cur) return {prev, cur};
         // Swing the whole dead run [left_next..cur) out in one CAS.
         if (prev->next.cas_clean(left_next, cur)) {
+          refresh_back(cur, prev);
           retire_run(h, left_next, cur);
           return {prev, cur};
         }
@@ -403,12 +457,15 @@ class SinglyFamilyList {
       // Lost the position (helping CAS or sweep CAS). The mild
       // variants resume from prev while it lives -- dereferenceable
       // here by construction (arena: stable addresses; EBR: the op's
-      // pin) -- so the validated prefix is never re-walked; draconic
-      // keeps its from-the-head discipline.
+      // pin) -- so the validated prefix is never re-walked, and hop
+      // back from it once it died; draconic keeps its from-the-head
+      // discipline.
       ++h.ctr_.restarts;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
       if constexpr (kTraversal == Traversal::kDraconic)
         start = head_;
+      else if constexpr (kHopBack)
+        start = recover(prev);
       else
         start = !prev->next.load().marked ? prev : start_node(h, key);
     }
@@ -421,7 +478,10 @@ class SinglyFamilyList {
     const auto w = hazard::anchored_walk<kTraversal, kBackoff, true, Node>(
         *h.rh_, key, [&] { return start_node(h, key); },
         [&] { drop_cursor(h); },
-        [&](Node*, Node* first, Node* last) { retire_run(h, first, last); },
+        [&](Node* prev, Node* first, Node* last) {
+          refresh_back(last, prev);  // last is in kWalk
+          retire_run(h, first, last);
+        },
         &h.ctr_.restarts);
     return {w.prev, w.cur};
   }
@@ -440,12 +500,16 @@ class SinglyFamilyList {
         update_cursor(h, p.cur);
         return false;  // present (the node was live when observed)
       }
-      if (node == nullptr)
-        node = h.rh_->construct(key, p.cur);
-      else
+      if (node == nullptr) {
+        node = h.rh_->construct(key, p.cur, p.prev);
+      } else {
         node->next.store(p.cur);
+        if constexpr (kBack != Back::kNone)
+          node->back.store(p.prev, std::memory_order_relaxed);
+      }
       if (p.prev->next.cas_clean(p.cur, node)) {
         domain_->track(node);
+        refresh_back(p.cur, node);  // HP: p.cur is still in kWalk
         if constexpr (kHazards) {
           update_cursor(h, p.prev);  // p.prev is anchor-protected; the
           maybe_publish(h, p.prev);  // fresh node is not in any slot
@@ -457,10 +521,13 @@ class SinglyFamilyList {
       }
       // Lost the insert CAS. The mild variants resume from p.prev while
       // it is unmarked -- the paper's first observation: the validated
-      // prefix is never re-walked -- instead of a fresh start_node();
-      // draconic keeps Michael's fresh search, and HP its anchored walk.
+      // prefix is never re-walked -- instead of a fresh start_node(),
+      // and hop back from it once it died; draconic keeps Michael's
+      // fresh search, and HP its anchored walk.
       ++h.ctr_.restarts;
-      if constexpr (kTraversal == Traversal::kMild && !kHazards)
+      if constexpr (kHopBack)
+        from = recover(p.prev);
+      else if constexpr (kTraversal == Traversal::kMild && !kHazards)
         from = !p.prev->next.load().marked ? p.prev : nullptr;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     }
@@ -493,10 +560,17 @@ class SinglyFamilyList {
     update_cursor(h, p.prev);
     maybe_publish(h, p.prev);
     if (!won) return false;
+    if constexpr (kHazards && kBack == Back::kPrecise) {
+      // Pin succ for the refresh below (kRun is idle between searches):
+      // if the unlink CAS succeeds, succ was still attached when the
+      // hazard became visible, so it cannot have been freed.
+      if (succ != nullptr) h.rh_->protect(hazard::kRun, succ);
+    }
     // Physical unlink: one attempt in the mild variants (the next
     // search will sweep it), mandatory help in the draconic one. A
     // successful CAS detached exactly p.cur, so we own its retirement.
     if (p.prev->next.cas_clean(p.cur, succ)) {
+      refresh_back(succ, p.prev);
       if constexpr (Reclaim::kReclaims) {
         hints_.purge(p.cur);
         h.rh_->retire(p.cur);
@@ -658,17 +732,45 @@ class SinglyFamilyList {
   HintIndex<Node> hints_;
 };
 
-using DraconicList = SinglyFamilyList<Traversal::kDraconic, Marking::kCas,
-                                      Cursor::kNone, Backoff::kNone>;
-using SinglyList = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                    Cursor::kNone, Backoff::kNone>;
-using SinglyCursorList = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                          Cursor::kPerHandle, Backoff::kNone>;
-using SinglyFetchOrList =
-    SinglyFamilyList<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
-                     Backoff::kNone>;
+// Every variant's `With<R>` alias names its column of the variant x
+// reclaimer grid (the catalog builds each cell from it); the plain
+// alias is the paper's arena cell.
+template <template <typename> class R>
+using DraconicListWith = ListFamily<Traversal::kDraconic, Marking::kCas,
+                                    Cursor::kNone, Backoff::kNone,
+                                    Back::kNone, R>;
+template <template <typename> class R>
+using SinglyListWith = ListFamily<Traversal::kMild, Marking::kCas,
+                                  Cursor::kNone, Backoff::kNone, Back::kNone,
+                                  R>;
+template <template <typename> class R>
+using DoublyListWith = ListFamily<Traversal::kMild, Marking::kCas,
+                                  Cursor::kNone, Backoff::kNone,
+                                  Back::kPrecise, R>;
+template <template <typename> class R>
+using SinglyCursorListWith =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kNone, R>;
+template <template <typename> class R>
+using SinglyFetchOrListWith =
+    ListFamily<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
+               Backoff::kNone, Back::kNone, R>;
+template <template <typename> class R>
+using DoublyCursorListWith =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kPrecise, R>;
+
+using DraconicList = DraconicListWith<reclaim::Arena>;
+using SinglyList = SinglyListWith<reclaim::Arena>;
+using DoublyList = DoublyListWith<reclaim::Arena>;
+using SinglyCursorList = SinglyCursorListWith<reclaim::Arena>;
+using SinglyFetchOrList = SinglyFetchOrListWith<reclaim::Arena>;
+using DoublyCursorList = DoublyCursorListWith<reclaim::Arena>;
 using SinglyCursorBackoffList =
-    SinglyFamilyList<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
-                     Backoff::kExponential>;
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kExponential, Back::kNone>;
+using DoublyCursorNoPrecList =
+    ListFamily<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
+               Backoff::kNone, Back::kImprecise>;
 
 }  // namespace pragmalist::core

@@ -12,11 +12,11 @@
 //     never marked). Every other node carries an *immutable anchor*
 //     stored in the field named `key` -- the name is load-bearing: it is
 //     what lets the engine reuse core::hazard::anchored_walk verbatim,
-//     which routes by comparing `cur->key` exactly as the singly family
-//     does. Anchors are strictly increasing along the physical chain at
-//     all times (splits insert between their source's and its
-//     successor's anchors; fresh nodes insert after the head, below the
-//     first anchor).
+//     which routes by comparing `cur->key` exactly as the one-key list
+//     engine (ListFamily) does. Anchors are strictly increasing along
+//     the physical chain at all times (splits insert between their
+//     source's and its successor's anchors; fresh nodes insert after
+//     the head, below the first anchor).
 //   * Keys live in K atomic cells, kept sorted, guarded by a per-node
 //     seqlock (`version`): even = unlocked, odd = writer inside. The
 //     version doubles as the writer mutex -- a writer CASes even->odd
@@ -217,7 +217,6 @@ class UnrolledFamilyList {
   bool validate(std::string* err) const {
     const std::size_t bound = domain_->live_nodes() + 1;
     const Node* prev = nullptr;
-    bool prev_marked = false;
     long last_live_key = kHeadAnchor;  // max key of the last unmarked node
     bool have_live = false;
     std::size_t steps = 0;
@@ -283,10 +282,8 @@ class UnrolledFamilyList {
         have_live = true;
       }
       prev = n;
-      prev_marked = v.marked;
       n = v.ptr;
     }
-    (void)prev_marked;
     return true;
   }
 
@@ -458,48 +455,22 @@ class UnrolledFamilyList {
     }
   }
 
-  /// Retire every node of the detached run [first, last): after the
-  /// sweep CAS succeeded the frozen chain is reachable only by threads
-  /// that entered it earlier, and only the detacher may retire it.
   void retire_run(Handle& h, Node* first, Node* last) {
-    if constexpr (Reclaim::kReclaims) {
-      Node* n = first;
-      while (n != last) {
-        Node* next = n->next.load().ptr;  // read before retire: a scan
-        hints_.purge(n);
-        h.rh_->retire(n);                 // may free n immediately
-        n = next;
-      }
-    }
+    if constexpr (Reclaim::kReclaims)
+      hint::retire_run(hints_, h.rh_, first, last);
   }
 
   /// Validated hint-index candidate for a walk toward `probe`, or
   /// nullptr. A validated fat node (unmarked, anchor < probe) is a
   /// correct routing start: anchors increase along the chain, so the
-  /// covering node sits at or after it. Same per-reclaimer validation
-  /// as the singly family (hint_index.hpp).
+  /// covering node sits at or after it.
   Node* hint_start(Handle& h, long probe) {
-    if constexpr (kHazards) {
-      return hints_.best(probe, [&](Node* n, int slot) {
-        h.rh_->protect(hazard::kAnchor, n);
-        if (hints_.slot_node(slot) != n) return false;
-        return n->key < probe && !n->next.load().marked;
-      });
-    } else {
-      return hints_.best(probe, [&](Node* n, int) {
-        return n->key < probe && !n->next.load().marked;
-      });
-    }
+    return hint::start<kHazards>(hints_, h.rh_, probe);
   }
 
-  /// Advertise the covering node, 1 op in 8 (hint_index.hpp caller
-  /// contract: n covered by the caller's guard, observed unmarked
-  /// during this op).
+  /// Advertise the covering node (hint::maybe_publish's contract).
   void maybe_publish(Handle& h, Node* n) {
-    if (!hints_.enabled()) return;
-    if (n == nullptr || n == head_) return;
-    if ((++h.hint_tick_ & 7u) != 0) return;
-    hints_.publish(n->key, n);
+    hint::maybe_publish(hints_, h.hint_tick_, head_, n);
   }
 
   /// Routing walk toward `probe` with adjacency (prev->next == cur at
@@ -862,15 +833,14 @@ class UnrolledFamilyList {
     }
   }
 
-  /// Fault dispatch (Handle::abandon), mirroring the singly family:
+  /// Fault dispatch (Handle::abandon), mirroring ListFamily:
   /// op-level kinds count as a remove attempt so the population
   /// conservation check keeps balancing across crashes. kMidOpAbandon
   /// skips all physical cleanup (no sweep, no merge); kRetireSkipped
   /// completes the unlink but leaks the node past limbo. Neither fires
   /// the fat-node-specific paths unless the remove actually empties
   /// its node -- a non-emptying faulted remove degrades to a plain
-  /// remove, exactly like a failed unlink degrades in the singly
-  /// family.
+  /// remove, exactly like a failed unlink degrades in ListFamily.
   void do_abandon(Handle& h, faults::FaultKind k, long key) {
     if (faults::is_op_fault(k)) {
       ++h.ctr_.rem_calls;

@@ -1,5 +1,7 @@
 // Umbrella header: the six paper variants (a-f) plus the ablation-only
-// configurations, exactly as the bench layer names them.
+// configurations, exactly as the bench layer names them. All of them
+// are instantiations of the one list engine, ListFamily
+// (singly_family.hpp):
 //
 //   a) DraconicList        e) SinglyFetchOrList
 //   b) SinglyList          f) DoublyCursorList
@@ -7,46 +9,23 @@
 //   d) SinglyCursorList       DoublyCursorNoPrecList  (ablation)
 //
 // Each variant also exists under real mid-run reclamation (catalog ids
-// `<variant>/ebr` and `<variant>/hp`); the `With` alias templates below
-// spell the grid out once so the catalog and tests can name any cell.
+// `<variant>/ebr` and `<variant>/hp`): its `XxxListWith<R>` alias
+// template (singly_family.hpp) names any cell of the grid. The EBR/HP
+// aliases below are the ones the tests name.
 #pragma once
 
-#include "src/core/doubly_family.hpp"
 #include "src/core/iset.hpp"
 #include "src/core/singly_family.hpp"
 #include "src/reclaim/reclaim.hpp"
 
 namespace pragmalist::core {
 
-template <template <typename> class R>
-using DraconicListWith = SinglyFamilyList<Traversal::kDraconic, Marking::kCas,
-                                          Cursor::kNone, Backoff::kNone, R>;
-template <template <typename> class R>
-using SinglyListWith = SinglyFamilyList<Traversal::kMild, Marking::kCas,
-                                        Cursor::kNone, Backoff::kNone, R>;
-template <template <typename> class R>
-using DoublyListWith = DoublyFamilyList<Cursor::kNone, true, R>;
-template <template <typename> class R>
-using SinglyCursorListWith =
-    SinglyFamilyList<Traversal::kMild, Marking::kCas, Cursor::kPerHandle,
-                     Backoff::kNone, R>;
-template <template <typename> class R>
-using SinglyFetchOrListWith =
-    SinglyFamilyList<Traversal::kMild, Marking::kFetchOr, Cursor::kPerHandle,
-                     Backoff::kNone, R>;
-template <template <typename> class R>
-using DoublyCursorListWith = DoublyFamilyList<Cursor::kPerHandle, true, R>;
-
-using DraconicListEbr = DraconicListWith<reclaim::Ebr>;
 using SinglyListEbr = SinglyListWith<reclaim::Ebr>;
-using DoublyListEbr = DoublyListWith<reclaim::Ebr>;
 using SinglyCursorListEbr = SinglyCursorListWith<reclaim::Ebr>;
 using SinglyFetchOrListEbr = SinglyFetchOrListWith<reclaim::Ebr>;
 using DoublyCursorListEbr = DoublyCursorListWith<reclaim::Ebr>;
 
-using DraconicListHp = DraconicListWith<reclaim::Hp>;
 using SinglyListHp = SinglyListWith<reclaim::Hp>;
-using DoublyListHp = DoublyListWith<reclaim::Hp>;
 using SinglyCursorListHp = SinglyCursorListWith<reclaim::Hp>;
 using SinglyFetchOrListHp = SinglyFetchOrListWith<reclaim::Hp>;
 using DoublyCursorListHp = DoublyCursorListWith<reclaim::Hp>;
@@ -72,15 +51,15 @@ static_assert(SinglyCursorList::kContainsRestartFree &&
                   SinglyFetchOrListEbr::kContainsRestartFree,
               "cursor/fetch-or variants share the mild fast lane");
 static_assert(!DraconicList::kContainsCasFree &&
-                  !DraconicListEbr::kContainsCasFree &&
-                  !DraconicListHp::kContainsCasFree,
+                  !DraconicListWith<reclaim::Ebr>::kContainsCasFree &&
+                  !DraconicListWith<reclaim::Hp>::kContainsCasFree,
               "draconic readers help unlink: CAS by design");
 static_assert(DoublyList::kContainsCasFree &&
-                  DoublyListEbr::kContainsCasFree &&
-                  DoublyListHp::kContainsCasFree &&
+                  DoublyListWith<reclaim::Ebr>::kContainsCasFree &&
+                  DoublyListWith<reclaim::Hp>::kContainsCasFree &&
                   DoublyCursorList::kContainsRestartFree &&
                   DoublyCursorListEbr::kContainsRestartFree &&
                   !DoublyCursorListHp::kContainsRestartFree,
-              "doubly family: always mild, restart-free off hazards");
+              "back-pointer rows: always mild, restart-free off hazards");
 
 }  // namespace pragmalist::core

@@ -15,9 +15,10 @@
 //     one.
 //   Engine requirements: none -- any traversal is safe as-is. This is
 //     the only policy with kStableAddresses, the capability gate for
-//     the doubly family's back-pointer hints. Per-handle cursors need
-//     no gate: the cursor-validity capability (reclaim.hpp) is constant
-//     here, every remembered cursor stays dereferenceable.
+//     following the list engine's back-pointer hints. Per-handle
+//     cursors need no gate: the cursor-validity capability
+//     (reclaim.hpp) is constant here, every remembered cursor stays
+//     dereferenceable.
 //
 // Like the reclaiming policies, one Arena instance is a *domain*: a
 // sharded set backs every shard with the same registry, so

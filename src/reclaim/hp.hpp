@@ -22,8 +22,8 @@
 //     supported via a dedicated persistent slot (hazard::kCursor).
 //
 // Slot-role conventions are the caller's business: the engines use
-// four (anchor/walk/succ + a persistent cursor slot, see
-// singly_family.hpp).
+// four (anchor/walk/run + a persistent cursor slot, see hazard:: in
+// list_base.hpp).
 //
 // Cursor-slot reuse (departure/arrival protocol): hazard slots are a
 // fixed kMaxHandles-entry table, so a long-running service must

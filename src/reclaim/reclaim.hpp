@@ -8,12 +8,13 @@
 //   static constexpr bool kStableAddresses;
 //       Nodes are never freed (or reused) while the list is alive, so
 //       raw node pointers stay dereferenceable across operations. Only
-//       the arena guarantees this; it is what makes the doubly family's
-//       back-pointer hints safe without any per-access protection.
+//       the arena guarantees this; it is what lets the list engine
+//       follow its back-pointer hints (Back::kImprecise/kPrecise)
+//       without any per-access protection.
 //   static constexpr bool kHazards;
 //       Traversals must publish a hazard pointer on every node before
 //       dereferencing it and revalidate reachability afterwards (see
-//       singly_family.hpp for the anchored-validation walk). Implies
+//       list_base.hpp for the anchored-validation walk). Implies
 //       per-access cost but per-thread bounded garbage.
 //   static constexpr bool kReclaims;
 //       retire() eventually frees nodes mid-run. When true the list

@@ -139,6 +139,42 @@ TEST(ShardedCursor, EbrFollowerStartsFromEachShardsCursor) {
   EXPECT_TRUE(set->validate(&err)) << err;
 }
 
+// Back-pointer recovery (rows c and f): handle A parks its cursor on
+// node 900, handle B removes 900, and A's next search starts from 900's
+// live predecessor 899 -- reached over the dead node's back hint --
+// instead of from the head. Only the arena follows back hints; the
+// singly cursor row drops a dead cursor, and under EBR the hints are
+// maintained but never followed, so neither takes a cursor start.
+// Hints are off, so the cursor is the only shortcut.
+template <typename List>
+long cursor_hits_after_losing_the_cursor_node() {
+  List list(nullptr, /*hints=*/false);
+  auto a = list.make_handle();
+  auto b = list.make_handle();
+  for (long k = 0; k < 1000; ++k) EXPECT_TRUE(a.add(k));
+  EXPECT_TRUE(a.contains(901));  // the cursor parks on node 900
+  EXPECT_TRUE(b.remove(900));
+  const long hits = a.counters().cursor_hits;
+  EXPECT_TRUE(a.contains(950));
+  std::string err;
+  EXPECT_TRUE(list.validate(&err)) << err;
+  EXPECT_EQ(list.size(), 999u);
+  return a.counters().cursor_hits - hits;
+}
+
+TEST(BackPointerRecovery, OnlyArenaBackPointerRowsKeepTheCursor) {
+  EXPECT_EQ(cursor_hits_after_losing_the_cursor_node<core::DoublyCursorList>(),
+            1);
+  EXPECT_EQ(
+      cursor_hits_after_losing_the_cursor_node<core::DoublyCursorNoPrecList>(),
+      1);
+  EXPECT_EQ(cursor_hits_after_losing_the_cursor_node<core::SinglyCursorList>(),
+            0);
+  EXPECT_EQ(
+      cursor_hits_after_losing_the_cursor_node<core::DoublyCursorListEbr>(),
+      0);
+}
+
 // A cursor saved in one epoch must never be followed after the epoch
 // moved: its node may be freed by then. Park a handle's cursor on a
 // node, remove and retire that node from another handle, push the
