@@ -1,11 +1,12 @@
 // Wait-free shortcut-hint index: a fixed array of (key, node*) slots
-// that lets the read path start a traversal at a recently published
-// node just below the target instead of at the head sentinel.
+// that lets the read path start a traversal at a published node just
+// below the target instead of at the head sentinel.
 //
 // Routing is by key *range*, not key hash. The index tracks the
 // observed key span [lo, hi] (publish widens it; it never shrinks) and
-// splits it into kSlots equal buckets; slot b holds the latest node
-// published into the b-th bucket. best(k) probes bucket(k), then the
+// splits it into kSlots equal buckets; slot b holds a node published
+// into the b-th bucket, at rest the lowest live one (see "Publish on
+// miss" below). best(k) probes bucket(k), then the
 // nearest non-empty buckets below it, found through a 1024-bit
 // occupancy bitmap, so the walk starts at the nearest advertised node
 // below k however sparse the index is (a set of a few hundred keys, or
@@ -70,6 +71,19 @@
 //     stale either way, which costs one empty probe or hides the slot
 //     until its next publish.
 //
+// Publish on miss (hint::maybe_publish). An op publishes the node its
+// walk ended at only if its validated start candidate did not come
+// from that node's own bucket. A walk only moves forward, so a start
+// from bucket b that ends in bucket b ended at or above the node the
+// slot already holds: republishing would only raise the slot and write
+// a line every reader of b shares. Otherwise slot b was empty, dead, or
+// held a node not below the key -- above the walk's end -- so the
+// publish lowers it (barring a stale bitmap bit or a widen since the
+// lookup, which cost at most one raise). Each slot therefore
+// converges to the lowest live node of its bucket and is rewritten
+// only after a purge empties it or a lower node appears; a read-mostly
+// op whose slot is settled writes no shared memory at all.
+//
 // The safety argument never consults the current key -> slot mapping,
 // only n's home: a widen that moves n's bucket after its first publish
 // stops n from being published again, and purge still clears the one
@@ -84,7 +98,7 @@
 // the purge, so it reads the cleared slot.
 //
 // The caller half of the protocol -- validating a candidate, the
-// publish throttle and contract, purge-before-retire on a detached
+// publish-on-miss rule and contract, purge-before-retire on a detached
 // run -- is the free helpers in namespace hint below, which every
 // engine calls instead of spelling the rules out again.
 #pragma once
@@ -114,15 +128,17 @@ class HintIndex {
   bool enabled() const { return enabled_; }
 
   /// Publish (key, n) into key's bucket, widening the span first if
-  /// key falls outside it; a no-op unless that bucket is n's home (set
-  /// here on n's first publish). Caller contract: n is covered by the
-  /// caller's reclamation guard for the whole call and was observed
-  /// unmarked during the current operation. See file comment for the
-  /// home and re-check/self-clear rules.
-  void publish(long key, Node* n) {
+  /// key falls outside it; a no-op if that bucket is `from` (the slot
+  /// the caller's walk started from, see "Publish on miss") or is not
+  /// n's home (set here on n's first publish). Caller contract: n is
+  /// covered by the caller's reclamation guard for the whole call and
+  /// was observed unmarked during the current operation. See file
+  /// comment for the home and re-check/self-clear rules.
+  void publish(long key, Node* n, int from = -1) {
     if (!enabled_ || n == nullptr) return;
     widen(key);
     const int b = bucket(key);
+    if (b == from) return;
     int home = n->hint_slot.load(std::memory_order_seq_cst);
     // First publish: home n here. On a lost race `home` reads back the
     // winner's bucket.
@@ -288,7 +304,9 @@ class HintIndex {
 /// engines pass the MaybeOwned that holds it).
 namespace hint {
 
-/// Validated candidate for a walk toward `key`, or nullptr. Without
+/// Validated candidate for a walk toward `key`, or nullptr; `from` is
+/// set to the slot it came from (-1 with no candidate), for the
+/// publish at the op's end (maybe_publish). Without
 /// hazards (arena/EBR) the check is key/mark only: arena addresses are
 /// stable, and under EBR the caller's pin plus the purge/advance order
 /// keep a slot-visible node allocated. With hazards the candidate is
@@ -297,33 +315,29 @@ namespace hint {
 /// that could free it. Either way the candidate stays covered through
 /// the caller's start-node pick.
 template <bool kHazards, typename Node, typename ReclaimRef>
-inline Node* start(const HintIndex<Node>& hints, ReclaimRef& rh, long key) {
-  if constexpr (kHazards) {
-    return hints.best(key, [&](Node* n, int slot) {
+inline Node* start(const HintIndex<Node>& hints, ReclaimRef& rh, long key,
+                   int& from) {
+  from = -1;
+  return hints.best(key, [&](Node* n, int slot) {
+    if constexpr (kHazards) {
       rh->protect(hazard::kAnchor, n);
       if (hints.slot_node(slot) != n) return false;
-      return n->key < key && !n->next.load().marked;
-    });
-  } else {
-    return hints.best(key, [&](Node* n, int) {
-      return n->key < key && !n->next.load().marked;
-    });
-  }
+    }
+    if (!(n->key < key && !n->next.load().marked)) return false;
+    from = slot;
+    return true;
+  });
 }
 
-/// Advertise `n`, 1 op in 8 per handle (`tick` is the handle's
-/// counter): the slots go stale in well under 8 ops' time only under
-/// adversarial churn, and a publish is two seq_cst accesses -- too dear
-/// for every contains. Caller contract: n is covered by the caller's
-/// guard (HP: a hazard slot) and was observed unmarked during this op.
-/// The head sentinel is never advertised.
+/// Advertise `n`, the node the op's walk ended at, unless `from` (the
+/// slot its start candidate came from, set by start()) is n's own
+/// bucket: publish on miss, see the file comment. Caller contract: n is
+/// covered by the caller's guard (HP: a hazard slot) and was observed
+/// unmarked during this op. The head sentinel is never advertised.
 template <typename Node>
-inline void maybe_publish(HintIndex<Node>& hints, unsigned& tick,
-                          const Node* head, Node* n) {
-  if (!hints.enabled()) return;
-  if (n == nullptr || n == head) return;
-  if ((++tick & 7u) != 0) return;
-  hints.publish(n->key, n);
+inline void maybe_publish(HintIndex<Node>& hints, int from, const Node* head,
+                          Node* n) {
+  if (n != nullptr && n != head) hints.publish(n->key, n, from);
 }
 
 /// Retire every node of the detached run [first, last), purging each

@@ -178,7 +178,7 @@ class ListFamily {
     reclaim::MaybeOwned<ReclaimHandle> rh_;
     Node* cursor_ = nullptr;
     std::uint64_t cursor_stamp_ = 0;  // rh_->cursor_stamp() at cursor_ set
-    unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
+    int hint_from_ = -1;  // slot of the op's hint start (hint::start)
   };
 
   explicit ListFamily(std::shared_ptr<Reclaim> domain = nullptr,
@@ -309,10 +309,10 @@ class ListFamily {
 
   /// The hint index's caller glue (hint_index.hpp, namespace hint).
   Node* hint_start(Handle& h, long key) {
-    return hint::start<kHazards>(hints_, h.rh_, key);
+    return hint::start<kHazards>(hints_, h.rh_, key, h.hint_from_);
   }
   void maybe_publish(Handle& h, Node* n) {
-    hint::maybe_publish(hints_, h.hint_tick_, head_, n);
+    hint::maybe_publish(hints_, h.hint_from_, head_, n);
   }
 
   /// kHopBack only: the nearest live node at or before `n` along back
@@ -508,7 +508,7 @@ class ListFamily {
           node->back.store(p.prev, std::memory_order_relaxed);
       }
       if (p.prev->next.cas_clean(p.cur, node)) {
-        domain_->track(node);
+        h.rh_->track(node);
         refresh_back(p.cur, node);  // HP: p.cur is still in kWalk
         if constexpr (kHazards) {
           update_cursor(h, p.prev);  // p.prev is anchor-protected; the

@@ -174,7 +174,7 @@ class UnrolledFamilyList {
 
     UnrolledFamilyList* list_;
     reclaim::MaybeOwned<ReclaimHandle> rh_;
-    unsigned hint_tick_ = 0;  // throttles hint publishes (1 in 8 ops)
+    int hint_from_ = -1;  // slot of the op's hint start (hint::start)
   };
 
   explicit UnrolledFamilyList(std::shared_ptr<Reclaim> domain = nullptr,
@@ -465,12 +465,12 @@ class UnrolledFamilyList {
   /// correct routing start: anchors increase along the chain, so the
   /// covering node sits at or after it.
   Node* hint_start(Handle& h, long probe) {
-    return hint::start<kHazards>(hints_, h.rh_, probe);
+    return hint::start<kHazards>(hints_, h.rh_, probe, h.hint_from_);
   }
 
   /// Advertise the covering node (hint::maybe_publish's contract).
   void maybe_publish(Handle& h, Node* n) {
-    hint::maybe_publish(hints_, h.hint_tick_, head_, n);
+    hint::maybe_publish(hints_, h.hint_from_, head_, n);
   }
 
   /// Routing walk toward `probe` with adjacency (prev->next == cur at
@@ -703,7 +703,7 @@ class UnrolledFamilyList {
         fresh->cells[0].store(key, std::memory_order_relaxed);
         fresh->count.store(1, std::memory_order_relaxed);
         if (head_->next.cas_clean(p.cur, fresh)) {
-          domain_->track(fresh);
+          h.rh_->track(fresh);
           return true;
         }
         h.rh_->dispose(fresh);  // never published, still private
@@ -767,7 +767,7 @@ class UnrolledFamilyList {
         a->cells[i].store(kEmptyCell, std::memory_order_relaxed);
       a->count.store(kSplitKeep, std::memory_order_relaxed);
       unlock_node(a);
-      domain_->track(b);
+      h.rh_->track(b);
       maybe_publish(h, a);  // not b: the fresh sibling is unprotected
       return true;
     }

@@ -65,6 +65,9 @@ class Arena {
     /// nodes are the registry's to free at teardown.
     void dispose(Node* n) { cache_.destroy(n); }
 
+    /// Register a published node with the domain (reclaim.hpp).
+    void track(Node* n) { d_->track(n); }
+
     /// Fault injection is a no-op: there is no guard to leak, no
     /// departure protocol to skip, and retires already do nothing.
     /// The arena is fault-oblivious by construction -- crashed workers
@@ -75,7 +78,8 @@ class Arena {
 
    private:
     friend class Arena;
-    explicit Handle(alloc::SlabPool<Node>* pool) : cache_(pool) {}
+    explicit Handle(Arena* d) : d_(d), cache_(&d->pool_) {}
+    Arena* d_;
     alloc::ThreadCache<Node> cache_;
   };
 
@@ -89,7 +93,7 @@ class Arena {
     registry_.free_all([this](Node* n) { pool_.destroy(n); });
   }
 
-  Handle make_handle() { return Handle(&pool_); }
+  Handle make_handle() { return Handle(this); }
 
   void track(Node* n) { registry_.track(n); }
 

@@ -18,6 +18,32 @@
 //     restrictions), which is why the pragmatic walk keeps its shape
 //     under EBR. Per-handle cursors follow the epoch-stamp rule below.
 //
+// The pin is one word. A handle's slot holds `epoch << 1 | 1` while
+// pinned and 0 otherwise, so a pin is one seq_cst store of the
+// combined word (Handle::pin()), retried until a seq_cst re-read of
+// the global epoch returns the e it published; unpin is one release
+// store of 0. A scanner (try_advance, min_pinned_epoch) reads the flag
+// and the epoch in one load, so it never sees a pinned flag with the
+// previous operation's epoch. Why a pin at e holds the global epoch
+// to at most e+1 (what the two-epoch grace period needs), over the
+// seq_cst total order S, with P our store and R our re-read of e:
+//
+//   * A try_advance T reads the global epoch (G), then our slot (L),
+//     then CASes G's value g to g+1. If P <S L, T sees us pinned at e
+//     and advances only if g == e. If L <S P, then G <S P <S R, so
+//     g <= e, and T's CAS either lands before R (then g+1 <= e, or R
+//     would not read e) or after R (then the global still read e at
+//     R, so g == e): either way the global reaches at most e+1.
+//   * Any later advance from e+1 reads G = e+1, which comes after R
+//     read e, hence after P; its slot load sees us pinned at e != e+1
+//     and gives up. So while we stay pinned at e, no advance passes
+//     e+1 and no bag retired at e-1 or later can be freed.
+//
+// Footprint counters (live_nodes(), limbo_nodes()) live in the same
+// slot, single-writer and relaxed, next to the pin word the handle
+// writes on every operation anyway; the global epoch, which every pin
+// reads twice, has a cache line of its own. See footprint.hpp.
+//
 // Epoch-stamped cursors (the cursor-validity capability of reclaim.hpp).
 // A node pointer held across the unpinned gap between two operations
 // may be freed meanwhile. So the engine stamps a cursor with the epoch
@@ -41,7 +67,7 @@
 //      read a global epoch past e. The epoch only grows, so if our next
 //      Guard reads e again no such read came before it; and one that
 //      comes after it finds our slot pinned at e (the Guard publishes
-//      pinned/epoch before its seq_cst re-read of e, and the epoch
+//      its pin word before its seq_cst re-read of e, and the epoch
 //      cannot pass e+1 while we stay pinned at e), so its horizon is at
 //      most e < r+2 and no bag holding c is reused either. c is still
 //      allocated, and not recycled by the slab pool, for that whole
@@ -124,6 +150,7 @@
 #include "src/alloc/slab.hpp"
 #include "src/common/debug.hpp"
 #include "src/faults/faults.hpp"
+#include "src/reclaim/footprint.hpp"
 
 namespace pragmalist::reclaim {
 
@@ -139,11 +166,15 @@ class Ebr {
   static constexpr std::size_t kCollectThresholdMax = 4096;
 
  private:
+  /// One handle's cache line: the pin word every other thread's
+  /// try_advance/min_pinned_epoch reads, and the footprint counters
+  /// only the leaseholder writes (footprint.hpp).
   struct alignas(64) Slot {
-    std::atomic<std::uint64_t> epoch{0};
-    std::atomic<bool> pinned{false};
+    std::atomic<std::uint64_t> pin{0};  // epoch << 1 | pinned; 0 unpinned
     std::atomic<bool> active{false};
+    Footprint fp;
   };
+  static_assert(sizeof(Slot) == 64, "an EBR slot is one cache line");
 
   /// One epoch's worth of retired nodes. `epoch` is meaningful only
   /// while `nodes` is non-empty.
@@ -187,24 +218,11 @@ class Ebr {
     /// why the free pass runs at release, never while pinned.
     class Guard {
      public:
-      explicit Guard(Handle& h) : h_(h) {
-        Slot& slot = h.d_->slots_[h.slot_];
-        slot.pinned.store(true, std::memory_order_seq_cst);
-        for (;;) {  // never publish a stale-at-birth epoch
-          const std::uint64_t e =
-              h.d_->global_epoch_.load(std::memory_order_seq_cst);
-          slot.epoch.store(e, std::memory_order_seq_cst);
-          if (h.d_->global_epoch_.load(std::memory_order_seq_cst) == e) {
-            h.pin_epoch_ = e;
-            break;
-          }
-        }
-      }
+      explicit Guard(Handle& h) : h_(h) { h.pin_epoch_ = h.pin(); }
       Guard(const Guard&) = delete;
       Guard& operator=(const Guard&) = delete;
       ~Guard() {
-        h_.d_->slots_[h_.slot_].pinned.store(false,
-                                             std::memory_order_release);
+        h_.slot().pin.store(0, std::memory_order_release);
         if (h_.collect_due()) h_.collect();
       }
 
@@ -236,6 +254,9 @@ class Ebr {
     /// no reader can hold it, so it skips limbo entirely.
     void dispose(Node* n) { cache_.destroy(n); }
 
+    /// Count a published node into this handle's slot (reclaim.hpp).
+    void track(Node*) { Footprint::add(slot().fp.allocated, 1); }
+
     void retire(Node* n) {
       const std::uint64_t e =
           d_->global_epoch_.load(std::memory_order_acquire);
@@ -249,7 +270,7 @@ class Ebr {
       bag.nodes.push_back(n);
       ++limbo_size_;
       ++retired_since_collect_;
-      d_->limbo_.fetch_add(1, std::memory_order_relaxed);
+      Footprint::add(slot().fp.limbo, 1);
     }
 
     /// Adaptive cadence trigger, checked at guard release. Pressure is
@@ -312,17 +333,7 @@ class Ebr {
       PRAGMALIST_CHECK(!faults::is_op_fault(k),
                        "op-level faults are injected by the engine, not "
                        "the reclaim handle");
-      if (k == faults::FaultKind::kAbortWithGuardHeld) {
-        Slot& slot = d_->slots_[slot_];
-        slot.pinned.store(true, std::memory_order_seq_cst);
-        for (;;) {  // same publish loop as Guard: never a stale pin
-          const std::uint64_t e =
-              d_->global_epoch_.load(std::memory_order_seq_cst);
-          slot.epoch.store(e, std::memory_order_seq_cst);
-          if (d_->global_epoch_.load(std::memory_order_seq_cst) == e)
-            break;
-        }
-      }
+      if (k == faults::FaultKind::kAbortWithGuardHeld) pin();
       d_->park_crashed(slot_, bags_, *this);
       d_ = nullptr;
     }
@@ -336,6 +347,22 @@ class Ebr {
    private:
     friend class Ebr;
     Handle(Ebr* d, int slot) : d_(d), slot_(slot), cache_(&d->pool_) {}
+
+    Slot& slot() const { return d_->slots_[slot_]; }
+
+    /// Pin this handle's slot at the current global epoch and return
+    /// it: one seq_cst store of the combined word, re-published until
+    /// the global epoch reads back unchanged, so no scanner ever sees
+    /// a stale-at-birth pin (the argument is in the file comment).
+    std::uint64_t pin() {
+      std::atomic<std::uint64_t>& word = slot().pin;
+      for (;;) {
+        const std::uint64_t e =
+            d_->global_epoch_.load(std::memory_order_seq_cst);
+        word.store(e << 1 | 1, std::memory_order_seq_cst);
+        if (d_->global_epoch_.load(std::memory_order_seq_cst) == e) return e;
+      }
+    }
 
     /// Re-tune the trigger after a pass. A futile pass (freed nothing,
     /// own limbo or orphans alike) over above-threshold pressure means
@@ -402,18 +429,19 @@ class Ebr {
     __builtin_unreachable();
   }
 
-  void track(Node*) { allocated_.fetch_add(1, std::memory_order_relaxed); }
-
-  std::size_t live_nodes() const {
-    return allocated_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
+  /// Count a node published off any handle (sentinels); handles count
+  /// theirs into their own slot (Handle::track).
+  void track(Node*) {
+    shared_.allocated.fetch_add(1, std::memory_order_relaxed);
   }
 
+  std::size_t live_nodes() const { return Footprint::live(shared_, slots_); }
+
   /// Retired-not-yet-freed nodes across every handle plus the orphan
-  /// pool left by departed handles. The soak harness samples this as
-  /// the limbo-depth series.
+  /// pool left by departed handles and the limbo parked by crashed
+  /// ones. The soak harness samples this as the limbo-depth series.
   std::size_t limbo_nodes() const {
-    return limbo_.load(std::memory_order_relaxed);
+    return Footprint::limbo_total(shared_, slots_);
   }
 
   /// Current global epoch (metrics/tests only).
@@ -447,7 +475,7 @@ class Ebr {
       // Hand the nodes off *before* unpinning: the stalled horizon
       // keeps them unfreeable until this store, so adoption can never
       // free something the dead pin still covered.
-      slots_[lease.slot].pinned.store(false, std::memory_order_seq_cst);
+      slots_[lease.slot].pin.store(0, std::memory_order_seq_cst);
       slots_[lease.slot].active.store(false, std::memory_order_release);
     }
     parked_limbo_.fetch_sub(parked, std::memory_order_relaxed);
@@ -485,8 +513,9 @@ class Ebr {
 
   void free_bag(Bag& bag, Handle& h) {
     for (Node* n : bag.nodes) pool_.destroy(n);
-    freed_.fetch_add(bag.nodes.size(), std::memory_order_relaxed);
-    limbo_.fetch_sub(bag.nodes.size(), std::memory_order_relaxed);
+    Footprint& fp = h.slot().fp;
+    Footprint::add(fp.freed, bag.nodes.size());
+    Footprint::sub(fp.limbo, bag.nodes.size());
     h.limbo_size_ -= bag.nodes.size();
     bag.nodes.clear();
   }
@@ -497,9 +526,8 @@ class Ebr {
     std::uint64_t min_epoch = global_epoch_.load(std::memory_order_seq_cst);
     for (const auto& slot : slots_) {
       if (!slot.active.load(std::memory_order_acquire)) continue;
-      if (!slot.pinned.load(std::memory_order_seq_cst)) continue;
-      const std::uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
-      if (e < min_epoch) min_epoch = e;
+      const std::uint64_t w = slot.pin.load(std::memory_order_seq_cst);
+      if ((w & 1) != 0 && (w >> 1) < min_epoch) min_epoch = w >> 1;
     }
     return min_epoch;
   }
@@ -509,8 +537,8 @@ class Ebr {
     const std::uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
     for (const auto& slot : slots_) {
       if (!slot.active.load(std::memory_order_acquire)) continue;
-      if (!slot.pinned.load(std::memory_order_seq_cst)) continue;
-      if (slot.epoch.load(std::memory_order_seq_cst) != e) return;
+      const std::uint64_t w = slot.pin.load(std::memory_order_seq_cst);
+      if ((w & 1) != 0 && (w >> 1) != e) return;
     }
     std::uint64_t expected = e;
     global_epoch_.compare_exchange_strong(expected, e + 1,
@@ -526,9 +554,10 @@ class Ebr {
     std::lock_guard<std::mutex> lock(orphans_mu_);
     for (Bag& bag : bags) {
       for (Node* n : bag.nodes) orphans_.emplace_back(n, bag.epoch);
-      h.limbo_size_ -= bag.nodes.size();
       bag.nodes.clear();
     }
+    h.slot().fp.hand_off_limbo(shared_, h.limbo_size_);
+    h.limbo_size_ = 0;
     orphan_count_.store(orphans_.size(), std::memory_order_relaxed);
   }
 
@@ -550,8 +579,8 @@ class Ebr {
     orphans_.resize(w);
     orphan_count_.store(w, std::memory_order_relaxed);
     orphans_mu_.unlock();
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    limbo_.fetch_sub(freed, std::memory_order_relaxed);
+    shared_.freed.fetch_add(freed, std::memory_order_relaxed);
+    shared_.limbo.fetch_sub(freed, std::memory_order_relaxed);
   }
 
   /// One abandoned handle: the slot it still occupies and its parked
@@ -569,9 +598,10 @@ class Ebr {
     lease.slot = slot;
     for (Bag& bag : bags) {
       for (Node* n : bag.nodes) lease.nodes.emplace_back(n, bag.epoch);
-      h.limbo_size_ -= bag.nodes.size();
       bag.nodes.clear();
     }
+    h.slot().fp.hand_off_limbo(shared_, h.limbo_size_);
+    h.limbo_size_ = 0;
     std::lock_guard<std::mutex> lock(crashed_mu_);
     parked_limbo_.fetch_add(lease.nodes.size(), std::memory_order_relaxed);
     crashed_.push_back(std::move(lease));
@@ -602,10 +632,11 @@ class Ebr {
 
   alloc::SlabPool<Node> pool_;  // first: every free above drains into it
   Slot slots_[kMaxHandles];
-  std::atomic<std::uint64_t> global_epoch_{2};
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> freed_{0};
-  std::atomic<std::size_t> limbo_{0};
+  // Read twice by every pin and once by every retire, written only by
+  // try_advance: a line of its own, away from every counter.
+  alignas(64) std::atomic<std::uint64_t> global_epoch_{2};
+  // Off-slot footprint: sentinels, the orphan pool, crashed leases.
+  alignas(64) Footprint shared_;
   std::mutex orphans_mu_;
   std::vector<std::pair<Node*, std::uint64_t>> orphans_;  // guarded by mu
   std::atomic<std::size_t> orphan_count_{0};

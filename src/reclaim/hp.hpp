@@ -70,6 +70,7 @@
 #include "src/common/debug.hpp"
 #include "src/core/list_base.hpp"
 #include "src/faults/faults.hpp"
+#include "src/reclaim/footprint.hpp"
 
 namespace pragmalist::reclaim {
 
@@ -84,10 +85,14 @@ class Hp {
   static constexpr std::size_t kRetireThreshold = 64;
 
  private:
+  /// One handle's cache line: the hazard cells every scan reads, and
+  /// the footprint counters only the leaseholder writes (footprint.hpp).
   struct alignas(64) Slot {
     std::array<std::atomic<Node*>, kSlots> hp{};
     std::atomic<bool> active{false};
+    Footprint fp;
   };
+  static_assert(sizeof(Slot) == 64, "an HP slot is one cache line");
 
  public:
   class Handle {
@@ -109,10 +114,8 @@ class Hp {
       // with our own cells still published, so a self-protected cursor
       // node correctly survives into the orphan stack rather than being
       // freed out from under a concurrent reader of the same node.
-      d_->scan(retired_);
-      d_->limbo_.fetch_sub(retired_.size(), std::memory_order_relaxed);
-      for (Node* n : retired_) d_->push_orphan(n);
-      retired_.clear();
+      d_->scan(*this);
+      d_->orphan_retired(*this);
       for (auto& h : d_->slots_[slot_].hp)
         h.store(nullptr, std::memory_order_release);
       d_->slots_[slot_].active.store(false, std::memory_order_release);
@@ -141,6 +144,9 @@ class Hp {
     /// no reader can hold it, so it skips retire/scan entirely.
     void dispose(Node* n) { cache_.destroy(n); }
 
+    /// Count a published node into this handle's slot (reclaim.hpp).
+    void track(Node*) { Footprint::add(fp().allocated, 1); }
+
     /// Publish: the store must be ordered before the caller's
     /// revalidation read, hence seq_cst (a release store could be
     /// reordered past the subsequent load on x86 and elsewhere).
@@ -156,13 +162,13 @@ class Hp {
 
     void retire(Node* n) {
       retired_.push_back(n);
-      d_->limbo_.fetch_add(1, std::memory_order_relaxed);
+      Footprint::add(fp().limbo, 1);
       if (retired_.size() >= kRetireThreshold) collect();
     }
 
     /// Scan now instead of waiting for the retire threshold (departing
     /// service workers and the slot-reuse tests force passes with it).
-    void collect() { d_->scan(retired_); }
+    void collect() { d_->scan(*this); }
 
     /// Retired-not-yet-freed nodes parked on this handle.
     std::size_t limbo_size() const { return retired_.size(); }
@@ -187,7 +193,7 @@ class Hp {
           d_->slots_[slot_].hp[static_cast<std::size_t>(s)].store(
               nullptr, std::memory_order_release);
       }
-      d_->park_crashed(slot_, retired_);
+      d_->park_crashed(*this);
       d_ = nullptr;
     }
 
@@ -205,6 +211,8 @@ class Hp {
    private:
     friend class Hp;
     Handle(Hp* d, int slot) : d_(d), slot_(slot), cache_(&d->pool_) {}
+
+    Footprint& fp() const { return d_->slots_[slot_].fp; }
 
     Hp* d_;
     int slot_;
@@ -248,18 +256,19 @@ class Hp {
     __builtin_unreachable();
   }
 
-  void track(Node*) { allocated_.fetch_add(1, std::memory_order_relaxed); }
-
-  std::size_t live_nodes() const {
-    return allocated_.load(std::memory_order_relaxed) -
-           freed_.load(std::memory_order_relaxed);
+  /// Count a node published off any handle (sentinels); handles count
+  /// theirs into their own slot (Handle::track).
+  void track(Node*) {
+    shared_.allocated.fetch_add(1, std::memory_order_relaxed);
   }
 
+  std::size_t live_nodes() const { return Footprint::live(shared_, slots_); }
+
   /// Retired-not-yet-freed nodes: every handle's retire bag plus the
-  /// orphan stack. The soak harness samples this as the limbo-depth
-  /// series.
+  /// orphan stack and the bags parked by crashed handles. The soak
+  /// harness samples this as the limbo-depth series.
   std::size_t limbo_nodes() const {
-    return limbo_.load(std::memory_order_relaxed);
+    return Footprint::limbo_total(shared_, slots_);
   }
 
   /// Supervisor recovery: release every crashed lease. Hands the
@@ -322,16 +331,24 @@ class Hp {
  private:
   friend class Handle;
 
-  /// Free every retiree no hazard pointer currently protects. Adopts
-  /// the orphan stack first (retirees of departed handles), so one
-  /// surviving handle is enough to keep the whole domain's garbage
+  /// Free every retiree of `h` no hazard pointer currently protects.
+  /// Adopts the orphan stack first (retirees of departed handles), so
+  /// one surviving handle is enough to keep the whole domain's garbage
   /// bounded under thread churn.
-  void scan(std::vector<Node*>& retired) {
+  void scan(Handle& h) {
+    std::vector<Node*>& retired = h.retired_;
+    Footprint& fp = h.fp();
     Node* o = orphans_.exchange(nullptr, std::memory_order_acq_rel);
+    std::size_t adopted = 0;
     while (o != nullptr) {
       Node* next = o->reg_next;
       retired.push_back(o);
+      ++adopted;
       o = next;
+    }
+    if (adopted != 0) {  // their limbo count moves into h's slot
+      Footprint::add(fp.limbo, adopted);
+      shared_.limbo.fetch_sub(adopted, std::memory_order_relaxed);
     }
     std::unordered_set<Node*> protected_nodes;
     for (const auto& slot : slots_) {
@@ -353,13 +370,16 @@ class Hp {
       }
     }
     retired = std::move(keep);
-    freed_.fetch_add(freed, std::memory_order_relaxed);
-    limbo_.fetch_sub(freed, std::memory_order_relaxed);
+    Footprint::add(fp.freed, freed);
+    Footprint::sub(fp.limbo, freed);
   }
 
-  void push_orphan(Node* n) {
-    limbo_.fetch_add(1, std::memory_order_relaxed);
-    core::push_intrusive(orphans_, n);
+  /// Move a departing handle's limbo count, then its retire bag, to
+  /// the domain's orphan stack.
+  void orphan_retired(Handle& h) {
+    h.fp().hand_off_limbo(shared_, h.retired_.size());
+    for (Node* n : h.retired_) core::push_intrusive(orphans_, n);
+    h.retired_.clear();
   }
 
   /// One abandoned handle: the slot it still occupies (cells possibly
@@ -370,13 +390,15 @@ class Hp {
   };
 
   /// Park an abandoned handle's retire bag and record the lease. The
-  /// bag stays counted in limbo_ (retired, not freed); the slot stays
-  /// active so its cells keep quarantining until reap_crashed().
-  void park_crashed(int slot, std::vector<Node*>& retired) {
+  /// bag stays counted in limbo (retired, not freed), moved from the
+  /// handle's slot to the domain; the slot stays active so its cells
+  /// keep quarantining until reap_crashed().
+  void park_crashed(Handle& h) {
     CrashedLease lease;
-    lease.slot = slot;
-    lease.retired = std::move(retired);
-    retired.clear();
+    lease.slot = h.slot_;
+    lease.retired = std::move(h.retired_);
+    h.retired_.clear();
+    h.fp().hand_off_limbo(shared_, lease.retired.size());
     std::lock_guard<std::mutex> lock(crashed_mu_);
     parked_limbo_.fetch_add(lease.retired.size(),
                             std::memory_order_relaxed);
@@ -408,9 +430,7 @@ class Hp {
   alloc::SlabPool<Node> pool_;  // first: every member above drains into it
   Slot slots_[kMaxHandles];
   std::atomic<Node*> orphans_{nullptr};
-  std::atomic<std::size_t> allocated_{0};
-  std::atomic<std::size_t> freed_{0};
-  std::atomic<std::size_t> limbo_{0};
+  Footprint shared_;  // off-slot: sentinels, orphans, crashed leases
   mutable std::mutex crashed_mu_;
   std::vector<CrashedLease> crashed_;  // guarded by crashed_mu_
   std::atomic<std::size_t> parked_limbo_{0};

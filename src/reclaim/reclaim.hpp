@@ -28,7 +28,8 @@
 //                                // a departed handle's slot (and its
 //                                // hazard cells) may be handed to a
 //                                // later arrival, see hp.hpp
-//   void track(Node* n);         // called once per *published* node
+//   void track(Node* n);         // a published node no handle
+//                                // allocated (sentinels)
 //   std::size_t live_nodes();    // tracked minus freed: the node
 //                                // footprint the churn tests bound
 //   std::size_t limbo_nodes();   // reclaiming policies only: retired
@@ -39,6 +40,9 @@
 //   auto guard();                // RAII critical section around one
 //                                // operation (epoch pin for EBR, no-op
 //                                // otherwise)
+//   void track(Node* n);         // called once per *published* node;
+//                                // EBR/HP count it in the handle's own
+//                                // slot (footprint.hpp)
 //   void retire(Node* n);        // n is detached and will never be
 //                                // reached again except through stale
 //                                // protected pointers; free it once no

@@ -1,8 +1,9 @@
 // Direct unit tests for the key-range hint index (src/core/hint_index.hpp):
 // routing quality in dense and sparse indexes, the bounded wait-free
 // lookup, the per-node home slot and the O(1) purge across a span
-// widen, extreme and negative key spans, the publish self-clear rule
-// and the disabled index. The engines' use of the index is covered by
+// widen, extreme and negative key spans, the publish self-clear rule,
+// the publish-on-miss rule of the engine glue (namespace hint) and the
+// disabled index. The engines' use of the index is covered by
 // the catalog-wide suites; these pin the index's own contract. The
 // ASan+UBSan and TSan CI legs run this binary by its `hint` label.
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "src/core/hint_index.hpp"
 #include "src/core/list_base.hpp"
 #include "src/harness/thread_team.hpp"
+#include "src/shard/shard_map.hpp"
 #include "src/workload/rng.hpp"
 #include "tests/test_util.hpp"
 
@@ -42,6 +44,29 @@ auto below(long key) {
   return [key](TestNode* n, int) {
     return n->key < key && !n->next.load().marked;
   };
+}
+
+/// The glue's reclaim handle, unused without hazards.
+struct NoHazards {};
+
+/// One engine read op through the glue (hint::start, then
+/// hint::maybe_publish), over `nodes` in ascending key order, a marked
+/// node being dead: the walk from the validated start ends at the last
+/// live node below `key`, wherever below it began, and that node -- or
+/// the head, never advertised -- is offered for publishing. Returns
+/// the start candidate.
+TestNode* read_op(Index& idx, std::deque<TestNode>& nodes, long key) {
+  static TestNode head(kMin);
+  NoHazards rh;
+  int from = -1;
+  TestNode* start = core::hint::start<false>(idx, rh, key, from);
+  TestNode* end = &head;
+  for (TestNode& n : nodes) {
+    if (n.key >= key) break;
+    if (!n.next.load().marked) end = &n;
+  }
+  core::hint::maybe_publish(idx, from, &head, end);
+  return start;
 }
 
 /// bucket() is in range and never decreases along `keys` (ascending).
@@ -290,6 +315,153 @@ TEST(HintIndexSafety, PublishOfAMarkedNodeSelfClears) {
   ASSERT_TRUE(n.next.cas_mark(nullptr));
   idx.publish(n.key, &n);
   for (int s = 0; s < kSlots; ++s) EXPECT_EQ(idx.slot_node(s), nullptr);
+}
+
+// Index over [0, kSlots * 100): bucket b holds keys [100 b, 100 b + 100).
+void span_of_width_100(Index& idx) {
+  TestNode lo(0), hi(kSlots * 100L - 1);
+  idx.publish(lo.key, &lo);
+  idx.publish(hi.key, &hi);
+  idx.purge(&lo);
+  idx.purge(&hi);
+}
+
+// An op whose start came from its walk's end bucket publishes nothing:
+// that slot's node stays, with its routing key, and the walk's end is
+// never even homed.
+TEST(HintIndexPublishOnMiss, OpStartingInItsOwnBucketLeavesTheSlot) {
+  Index idx;
+  span_of_width_100(idx);
+  std::deque<TestNode> nodes;
+  nodes.emplace_back(1010);
+  nodes.emplace_back(1050);
+  TestNode& low = nodes[0];
+  TestNode& high = nodes[1];
+  idx.publish(low.key, &low);
+  ASSERT_EQ(idx.slot_node(10), &low);
+
+  for (const long k : {1051L, 1060L, 1099L}) {
+    EXPECT_EQ(read_op(idx, nodes, k), &low) << "key " << k;
+    EXPECT_EQ(idx.slot_node(10), &low) << "key " << k;
+  }
+  EXPECT_EQ(high.hint_slot.load(), -1) << "the walk's end was published";
+  // The routing key is still low's: a lookup at high's own key, which
+  // a slot keyed `high` would refuse, still starts at low.
+  EXPECT_EQ(idx.best(high.key, below(high.key)), &low);
+}
+
+// Start every slot at its bucket's highest node, then run random read
+// ops: each bucket's slot only ever moves down, and settles on the
+// lowest live node of its bucket.
+TEST(HintIndexPublishOnMiss, SlotConvergesToItsBucketsLowestLiveNode) {
+  constexpr int kFirst = 10, kLast = 20;  // buckets holding nodes
+  const std::uint64_t seed = test::env_seed(18);
+  test::ReproOnFailure repro(seed);
+  Index idx;
+  span_of_width_100(idx);
+  std::deque<TestNode> nodes;
+  for (int b = kFirst; b < kLast; ++b)
+    for (const long off : {10L, 30L, 50L, 70L, 90L})
+      nodes.emplace_back(b * 100L + off);
+  for (int b = kFirst; b < kLast; ++b) {
+    TestNode& top = nodes[static_cast<std::size_t>((b - kFirst) * 5 + 4)];
+    idx.publish(top.key, &top);
+    ASSERT_EQ(idx.slot_node(b), &top);
+  }
+
+  workload::Rng rng(seed);
+  std::array<long, kSlots> prev_key{};
+  for (int b = kFirst; b < kLast; ++b)
+    prev_key[static_cast<std::size_t>(b)] = b * 100L + 90;
+  for (int op = 0; op < 4000; ++op) {
+    read_op(idx, nodes,
+            kFirst * 100L + static_cast<long>(rng.below((kLast - kFirst) * 100)));
+    for (int b = kFirst; b < kLast; ++b) {
+      const TestNode* n = idx.slot_node(b);
+      ASSERT_NE(n, nullptr) << "bucket " << b << " op " << op;
+      ASSERT_LE(n->key, prev_key[static_cast<std::size_t>(b)])
+          << "bucket " << b << " rose at op " << op;
+      prev_key[static_cast<std::size_t>(b)] = n->key;
+    }
+  }
+  for (int b = kFirst; b < kLast; ++b)
+    EXPECT_EQ(idx.slot_node(b)->key, b * 100L + 10) << "bucket " << b;
+}
+
+// A purge empties a slot; the next op that walks into that bucket from
+// a lower one publishes its walk's end there.
+TEST(HintIndexPublishOnMiss, PurgedBucketIsRepublishedByTheNextMiss) {
+  Index idx;
+  span_of_width_100(idx);
+  std::deque<TestNode> nodes;
+  nodes.emplace_back(950);   // bucket 9
+  nodes.emplace_back(1010);  // bucket 10, its lowest
+  nodes.emplace_back(1050);  // bucket 10
+  for (TestNode& n : nodes) read_op(idx, nodes, n.key + 1);
+  ASSERT_EQ(idx.slot_node(9), &nodes[0]);
+  ASSERT_EQ(idx.slot_node(10), &nodes[1]);
+
+  ASSERT_TRUE(nodes[1].next.cas_mark(nullptr));
+  idx.purge(&nodes[1]);
+  ASSERT_EQ(idx.slot_node(10), nullptr);
+
+  EXPECT_EQ(read_op(idx, nodes, 1070), &nodes[0]) << "start from bucket 9";
+  EXPECT_EQ(idx.slot_node(10), &nodes[2]);
+  EXPECT_EQ(nodes[2].hint_slot.load(), 10);
+}
+
+// The index one shard of an 8-way hash-sharded set carries: its keys
+// are a pseudo-random eighth of the key space, so most buckets stay
+// empty. Once read ops have run over it, every lookup starts within
+// the bucket of the nearest live node below its key -- at that
+// bucket's lowest node, in one validation.
+TEST(HintIndexPublishOnMiss, SparseShardIndexYieldsTheNearestNodeBelow) {
+  constexpr long kUniverse = 2048;
+  const std::uint64_t seed = test::env_seed(19);
+  test::ReproOnFailure repro(seed);
+  std::deque<TestNode> nodes;
+  for (long k = 0; k < kUniverse; ++k)
+    if (shard::shard_of(k, 8) == 0) nodes.emplace_back(k);
+  ASSERT_GT(nodes.size(), 200u);
+  // Settle the span first: a node homed while the span was still
+  // narrower keeps that home for life (see HomeSlotIsSticky).
+  Index idx;
+  TestNode lo(0), hi(kUniverse - 1);
+  idx.publish(lo.key, &lo);
+  idx.publish(hi.key, &hi);
+  idx.purge(&lo);
+  idx.purge(&hi);
+  workload::Rng rng(seed);
+  for (int op = 0; op < 20000; ++op)
+    read_op(idx, nodes, static_cast<long>(rng.below(kUniverse)));
+
+  int occupied = 0;
+  for (int s = 0; s < kSlots; ++s) occupied += idx.slot_node(s) != nullptr;
+  EXPECT_LT(occupied, kSlots / 2) << "not a sparse index";
+
+  for (long k = nodes.front().key + 1; k < kUniverse; ++k) {
+    const TestNode* pred = nullptr;  // the walk's end
+    const TestNode* lowest = nullptr;  // the lowest node in pred's bucket
+    for (const TestNode& n : nodes) {
+      if (n.key >= k) break;
+      pred = &n;
+    }
+    for (const TestNode& n : nodes) {
+      if (idx.bucket(n.key) == idx.bucket(pred->key)) {
+        lowest = &n;
+        break;
+      }
+    }
+    int calls = 0;
+    EXPECT_EQ(idx.best(k,
+                       [&](TestNode* n, int slot) {
+                         ++calls;
+                         return below(k)(n, slot);
+                       }),
+              lowest)
+        << "key " << k;
+    EXPECT_LE(calls, 1) << "key " << k;
+  }
 }
 
 TEST(HintIndexRouting, ExtremeKeysStayInRange) {

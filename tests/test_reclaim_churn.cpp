@@ -20,6 +20,7 @@
 #include "src/core/iset.hpp"
 #include "src/core/unrolled_family.hpp"
 #include "src/core/variants.hpp"
+#include "src/faults/faults.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/harness/thread_team.hpp"
 #include "src/workload/rng.hpp"
@@ -485,6 +486,99 @@ TYPED_TEST(LockStepDrainChurn, EveryRoundDrainsToAnExactLedger) {
               list.linked_node_count() + 1 + list.limbo_nodes())
         << "round " << round << " (the 1 is the head sentinel)";
   }
+}
+
+// The per-slot footprint ledger (src/reclaim/footprint.hpp): each
+// handle counts its tracks, retires and frees into its own slot, and
+// the orphan pool and crashed leases count into the domain. Workers
+// live several handle lifetimes each -- departure orphans the young
+// bags, the next lease reuses the slot and carries its counters on --
+// and one lifetime per worker ends in a lease-level crash that a
+// supervisor thread reaps mid-run, while it also samples
+// allocated_nodes()/limbo_nodes() (the TSan leg audits those relaxed
+// reads against the owners' bumps). At quiescence every allocation is
+// linked, the head, or in limbo, and collect passes drain limbo to 0.
+template <typename List>
+class FootprintLedger : public ::testing::Test {};
+using FootprintLedgerLists =
+    ::testing::Types<core::SinglyFetchOrListEbr, core::UnrolledK8ListEbr,
+                     core::DoublyCursorListHp>;
+TYPED_TEST_SUITE(FootprintLedger, FootprintLedgerLists);
+
+TYPED_TEST(FootprintLedger, SlotCountersCloseAcrossDepartureReuseAndCrash) {
+  constexpr int kLives = 6;  // handle lifetimes per worker
+  constexpr long kOpsPerLife = 3000;
+  const std::uint64_t seed = test::env_seed(6000);
+  test::ReproOnFailure repro(seed);
+  auto domain = std::make_shared<typename TypeParam::Reclaim>();
+  TypeParam list(domain);
+  std::atomic<int> working{kThreads};
+  std::size_t reaped = 0;
+  harness::run_team(
+      kThreads + 1,
+      [&](int t) {
+        if (t == kThreads) {  // supervisor: sample and reap mid-run
+          do {
+            const std::size_t allocated = list.allocated_nodes();
+            const std::size_t limbo = list.limbo_nodes();
+            EXPECT_LT(allocated, std::size_t{1} << 32) << "wrapped count";
+            EXPECT_LT(limbo, std::size_t{1} << 32) << "wrapped count";
+            reaped += domain->reap_crashed();
+            std::this_thread::yield();
+          } while (working.load(std::memory_order_acquire) != 0);
+          return;
+        }
+        workload::Rng rng(workload::thread_seed(seed, t));
+        for (int life = 0; life < kLives; ++life) {
+          auto h = list.make_handle();
+          for (long i = 0; i < kOpsPerLife; ++i) {
+            const long k = static_cast<long>(rng.below(kUniverse));
+            if (rng.below(2) == 0)
+              h.add(k);
+            else
+              h.remove(k);
+          }
+          // One crash per worker, alternating the two lease-level
+          // kinds; every other lifetime departs cleanly.
+          if (life == t % kLives)
+            h.abandon(t % 2 == 0 ? faults::FaultKind::kAbortWithGuardHeld
+                                 : faults::FaultKind::kDepartWithoutRelease,
+                      0);
+        }
+        working.fetch_sub(1, std::memory_order_release);
+      },
+      /*pin=*/false);
+  reaped += domain->reap_crashed();
+  EXPECT_EQ(reaped, static_cast<std::size_t>(kThreads));
+  {
+    // One last lifetime that fills and empties the key range: its
+    // departure leaves freshly retired nodes behind.
+    auto h = list.make_handle();
+    for (long k = 0; k < kUniverse; ++k) h.add(k);
+    for (long k = 0; k < kUniverse; ++k) h.remove(k);
+  }
+
+  std::string err;
+  ASSERT_TRUE(list.validate(&err)) << err;
+  EXPECT_EQ(list.allocated_nodes(),
+            list.linked_node_count() + 1 + list.limbo_nodes())
+      << "(the 1 is the head sentinel)";
+  if constexpr (!TypeParam::Reclaim::kHazards) {
+    // That departure left its young bags to the orphan pool (HP's
+    // final scan may free everything it retired).
+    EXPECT_GT(list.limbo_nodes(), 0u) << "nothing was left to adopt";
+  }
+
+  // Every worker handle is gone: its limbo sits in the orphan pool,
+  // which a few collect passes (each advancing the epoch) adopt.
+  {
+    auto rh = domain->make_handle();
+    for (int pass = 0; pass < 8 && list.limbo_nodes() != 0; ++pass)
+      rh.collect();
+  }
+  EXPECT_EQ(list.limbo_nodes(), 0u);
+  EXPECT_EQ(list.allocated_nodes(), list.linked_node_count() + 1)
+      << "(the 1 is the head sentinel)";
 }
 
 }  // namespace
