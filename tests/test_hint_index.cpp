@@ -370,18 +370,17 @@ TEST(HintIndexPublishOnMiss, SlotConvergesToItsBucketsLowestLiveNode) {
   }
 
   workload::Rng rng(seed);
-  std::array<long, kSlots> prev_key{};
-  for (int b = kFirst; b < kLast; ++b)
-    prev_key[static_cast<std::size_t>(b)] = b * 100L + 90;
   for (int op = 0; op < 4000; ++op) {
-    read_op(idx, nodes,
-            kFirst * 100L + static_cast<long>(rng.below((kLast - kFirst) * 100)));
+    std::vector<long> before;
+    for (int b = kFirst; b < kLast; ++b)
+      before.push_back(idx.slot_node(b)->key);
+    const long key = static_cast<long>(rng.below((kLast - kFirst) * 100));
+    read_op(idx, nodes, kFirst * 100L + key);
     for (int b = kFirst; b < kLast; ++b) {
       const TestNode* n = idx.slot_node(b);
       ASSERT_NE(n, nullptr) << "bucket " << b << " op " << op;
-      ASSERT_LE(n->key, prev_key[static_cast<std::size_t>(b)])
+      ASSERT_LE(n->key, before[static_cast<std::size_t>(b - kFirst)])
           << "bucket " << b << " rose at op " << op;
-      prev_key[static_cast<std::size_t>(b)] = n->key;
     }
   }
   for (int b = kFirst; b < kLast; ++b)
