@@ -342,9 +342,10 @@ inline void maybe_publish(HintIndex<Node>& hints, int from, const Node* head,
 
 /// Retire every node of the detached run [first, last), purging each
 /// first: no slot may name a node once retire can free it. After the
-/// sweep CAS the frozen chain is reachable only by threads that entered
-/// it earlier, and only the detacher may retire it. Reclaiming
-/// policies only.
+/// CAS that detached it (a sweep, or an update's own link/unlink CAS)
+/// the frozen chain is reachable only by threads that entered it
+/// earlier, and only the detacher may retire it. Reclaiming policies
+/// only.
 template <typename Node, typename ReclaimRef>
 inline void retire_run(HintIndex<Node>& hints, ReclaimRef& rh, Node* first,
                        Node* last) {

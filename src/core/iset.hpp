@@ -29,8 +29,10 @@ namespace pragmalist::core {
 /// hint index and from the handle's own cursor (the two candidates
 /// core::start::tighter composes; a start both proposed counts for
 /// both), restarts counts lost anchors -- a traversal pass abandoned
-/// and resumed (plain search sweep-CAS losses, lost insert CASes, HP
-/// anchor revalidation failures). The starvation tier asserts restarts
+/// and resumed (lost insert CASes, lost draconic helping CASes -- plain
+/// search sweep losses are draconic-only, since mild arena/EBR ops
+/// never sweep outside their own update CAS -- and HP anchor
+/// revalidation failures). The starvation tier asserts restarts
 /// stays proportional to ops -- bounded retries -- and bench_latency
 /// prints hints and restarts per cell.
 struct OpCounters {
@@ -91,16 +93,24 @@ struct OpCounters {
 //                     under continuous resize
 //   range_scan/ascend CAS-free, restart-free   CAS-free, bounded-restart
 //     (singly/doubly) (one pass)               (resume past last emitted)
-//   add/remove        lock-free (CAS retry); hint/cursor starts shorten
-//     (all engines)   the reattempt walk; mild arena/EBR sweep and
-//                     insert-CAS losses resume from prev
+//   add (mild,        decided (present): no CAS;  lock-free, anchored
+//     singly/doubly)  else one CAS that links    walk sweeps as it goes
+//                     and sweeps; a lost CAS
+//                     resumes from prev
+//   remove (mild,     decided (absent): no CAS;  lock-free, bounded-
+//     singly/doubly)  else mark + one unlink     restart (anchored walk)
+//                     CAS that also sweeps;
+//                     restart-free (no retry)
+//   add/remove        lock-free (CAS retry, help-unlink restarts from
+//     (draconic,      head); hint/cursor starts shorten the reattempt
+//     unrolled)       walk
 //
 // The arena/EBR mild `contains` column is the paper's claim made
-// enforceable: the walk in ListFamily::do_contains (every one-key
-// row, back pointers or not) issues no CAS and never loops back --
-// the engines export kContainsCasFree / kContainsRestartFree and
+// enforceable: ListFamily::locate (every one-key row, back pointers or
+// not) issues no CAS and never loops back -- the engines export
+// kContainsCasFree / kContainsRestartFree / kRemoveRestartFree and
 // variants.hpp static_asserts the whole grid, so a regression that
-// adds a CAS or a restart to that path fails to compile, not to
+// adds a CAS or a restart to those paths fails to compile, not to
 // benchmark. Hint-index lookups keep every guarantee above: a stale
 // hint costs one failed validation and decays (next candidate, then
 // head) -- never a retry loop.

@@ -6,9 +6,12 @@
 //     marked node; it must unlink it first and restart from the head
 //     whenever the unlink CAS fails. Readers pay for writers.
 //   Traversal::kMild      -- the paper's pragmatic rule: marked nodes
-//     are simply traversed; the whole dead run is swung out with one
-//     CAS right before the position is used, and contains() never
-//     performs a CAS at all.
+//     are simply traversed. Under arena/EBR all three ops share one
+//     CAS-free walk, locate(). contains(), an add of a present key and
+//     a remove of an absent key are decided by that walk and issue no
+//     CAS. An effective update issues exactly one CAS on the list (plus
+//     the remove's mark), and that CAS also swings out the dead run the
+//     walk crossed.
 //   Marking::kCas / kFetchOr -- logical deletion via CAS-retry on the
 //     next pointer vs a single fetch_or of the mark bit (variant e).
 //   Cursor::kPerHandle    -- each handle remembers the last live node
@@ -119,16 +122,23 @@ class ListFamily {
   /// Progress traits, asserted across the grid in variants.hpp (see
   /// the matrix in iset.hpp). The mild variants answer contains()
   /// without ever issuing a CAS; on top of that, the arena/EBR walk is
-  /// one forward pass -- no restart path exists in do_contains's plain
-  /// branch at all. Draconic readers help unlink (CAS + restart on a
-  /// lost CAS) by design; HP readers are CAS-free but bounded-restart
-  /// (anchored_walk resumes from the last validated anchor).
+  /// one forward pass -- locate() has no restart path at all. The same
+  /// walk makes the arena/EBR mild remove restart-free: it marks, tries
+  /// one unlink CAS and never loops. Draconic readers help unlink (CAS +
+  /// restart on a lost CAS) by design; HP readers are CAS-free but
+  /// bounded-restart (anchored_walk resumes from the last validated
+  /// anchor).
   static constexpr bool kContainsCasFree = kTraversal == Traversal::kMild;
   static constexpr bool kContainsRestartFree =
       kContainsCasFree && !ReclaimPolicy<Node>::kHazards;
+  static constexpr bool kRemoveRestartFree =
+      kTraversal == Traversal::kMild && !ReclaimPolicy<Node>::kHazards;
 
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
+  // Mild arena/EBR rows: every op positions itself with locate().
+  static constexpr bool kLocates =
+      kTraversal == Traversal::kMild && !kHazards;
   // Back hints are followed only where addresses are stable (the
   // arena); a reclaimer may have freed a hint's target.
   static constexpr bool kHopBack =
@@ -294,9 +304,13 @@ class ListFamily {
   static constexpr long kSentinelKey = std::numeric_limits<long>::min();
 
   struct Pos {
-    Node* prev;  // live at observation, prev->next observed == cur
-    Node* cur;   // first live node with key >= target, or nullptr
+    Node* prev;       // seen live with prev->next == left_next
+    Node* left_next;  // first node of the dead run [left_next, cur), or cur
+    Node* cur;        // first live node with key >= target, or nullptr
   };
+  static bool hit(const Pos& p, long key) {
+    return p.cur != nullptr && p.cur->key == key;
+  }
 
   /// Forget the handle's cursor hint, releasing the persistent hazard
   /// cell only if this engine still owns it (core::hazard's
@@ -388,86 +402,83 @@ class ListFamily {
       hint::retire_run(hints_, h.rh_, first, last);
   }
 
-  /// `from`, when non-null, is a node with key < `key` that this
-  /// operation saw live: the plain walk begins there instead of at
-  /// start_node(). The hazard walk keeps its own anchors and ignores it.
+  /// The op's position. Mild arena/EBR rows run locate() from `from`
+  /// -- a node this op saw live, after a lost insert CAS -- or from
+  /// start_node(). The draconic and HP searches sweep as they walk, so
+  /// their left_next is cur; they keep their own restart points and
+  /// ignore `from`.
   Pos search(Handle& h, long key, Node* from = nullptr) {
-    if constexpr (kHazards)
+    if constexpr (kLocates)
+      return locate(from != nullptr ? from : start_node(h, key), key);
+    else if constexpr (kHazards)
       return search_hazard(h, key);
     else
-      return search_plain(h, key, from);
+      return search_plain(h, key);
   }
 
-  /// Locate `key` and guarantee physical adjacency prev->next == cur at
-  /// some observed instant (required before an insert or unlink CAS).
-  /// Arena/EBR flavor: no per-step protection (arena: addresses are
-  /// stable; EBR: the caller's epoch pin covers the whole operation).
-  Pos search_plain(Handle& h, long key, Node* from) {
+  /// The mild arena/EBR walk behind contains, add and remove: one
+  /// CAS-free forward pass from `start` to the first live node with
+  /// key >= `key`, stepping over marked nodes. No per-step protection
+  /// (arena: stable addresses; EBR: the op's pin). Every node of
+  /// [left_next, cur) was seen marked, so its next is frozen: one CAS
+  /// prev->next: left_next -> x detaches that whole run together with
+  /// whatever the update links or unlinks. prev was seen live, except
+  /// a start that died since start_node() checked it; a CAS on a
+  /// marked prev fails, so an update then just resumes.
+  static Pos locate(Node* start, long key) {
+    Node* prev = start;
+    Node* left_next = prev->next.load().ptr;
+    Node* cur = left_next;
+    while (cur != nullptr) {
+      const auto cv = cur->next.load();
+      if (cv.marked) {
+        cur = cv.ptr;  // pragmatic: just walk through it
+        continue;
+      }
+      if (cur->key >= key) break;
+      prev = cur;
+      left_next = cur = cv.ptr;
+    }
+    return {prev, left_next, cur};
+  }
+
+  /// The draconic row's search (Michael-style): never step over a
+  /// marked node -- unlink it or start over from the head -- so on
+  /// return prev->next == cur was observed and there is no dead run.
+  /// Arena/EBR flavor: no per-step protection.
+  Pos search_plain(Handle& h, long key) {
+    static_assert(kTraversal == Traversal::kDraconic,
+                  "mild arena/EBR ops locate() instead");
     Backoffer bo;
-    Node* start = from != nullptr ? from : start_node(h, key);
+    Node* start = start_node(h, key);
     for (;;) {
       Node* prev = start;
       const auto pv = prev->next.load();
-      if (pv.marked) {  // cursor start died between check and here
-        if constexpr (kHopBack)
-          start = recover(start);
-        else
-          start = head_;
+      if (pv.marked) {  // the hint start died between check and here
+        start = head_;
         continue;
       }
-      Node* left_next = pv.ptr;  // the value we will CAS against at prev
-      Node* cur = left_next;
-      bool restart = false;
-      while (cur != nullptr) {
+      Node* cur = pv.ptr;
+      for (;;) {
+        if (cur == nullptr) return {prev, cur, cur};
         const auto cv = cur->next.load();
-        if (cv.marked) {
-          if constexpr (kTraversal == Traversal::kDraconic) {
-            // Never step over a dead node: unlink it now or start over.
-            if (prev->next.cas_clean(cur, cv.ptr)) {
-              if constexpr (Reclaim::kReclaims) {
-                hints_.purge(cur);
-                h.rh_->retire(cur);
-              }
-              left_next = cv.ptr;
-              cur = cv.ptr;
-              continue;
-            }
-            restart = true;
-            break;
-          } else {
-            cur = cv.ptr;  // pragmatic: just walk through it
-            continue;
+        if (!cv.marked) {
+          if (cur->key >= key) return {prev, cur, cur};
+          prev = cur;
+          cur = cv.ptr;
+        } else if (prev->next.cas_clean(cur, cv.ptr)) {
+          if constexpr (Reclaim::kReclaims) {
+            hints_.purge(cur);
+            h.rh_->retire(cur);
           }
+          cur = cv.ptr;
+        } else {
+          break;  // lost the helping CAS
         }
-        if (cur->key >= key) break;
-        prev = cur;
-        left_next = cv.ptr;
-        cur = cv.ptr;
       }
-      if (!restart) {
-        if (left_next == cur) return {prev, cur};
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          refresh_back(cur, prev);
-          retire_run(h, left_next, cur);
-          return {prev, cur};
-        }
-        restart = true;
-      }
-      // Lost the position (helping CAS or sweep CAS). The mild
-      // variants resume from prev while it lives -- dereferenceable
-      // here by construction (arena: stable addresses; EBR: the op's
-      // pin) -- so the validated prefix is never re-walked, and hop
-      // back from it once it died; draconic keeps its from-the-head
-      // discipline.
       ++h.ctr_.restarts;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
-      if constexpr (kTraversal == Traversal::kDraconic)
-        start = head_;
-      else if constexpr (kHopBack)
-        start = recover(prev);
-      else
-        start = !prev->next.load().marked ? prev : start_node(h, key);
+      start = head_;
     }
   }
 
@@ -483,7 +494,27 @@ class ListFamily {
           retire_run(h, first, last);
         },
         &h.ctr_.restarts);
-    return {w.prev, w.cur};
+    return {w.prev, w.cur, w.cur};
+  }
+
+  /// Logically delete `n`: one fetch_or (variant e) or a CAS-mark loop
+  /// that stops once another remover's mark appears. `won` says whether
+  /// this call set the mark; `succ` is n's successor, frozen from then.
+  struct Marked {
+    bool won;
+    Node* succ;
+  };
+  static Marked mark(Node* n) {
+    if constexpr (kMarking == Marking::kFetchOr) {
+      const auto old = n->next.fetch_or_mark();
+      return {!old.marked, old.ptr};
+    } else {
+      for (;;) {
+        const auto cv = n->next.load();
+        if (cv.marked) return {false, cv.ptr};  // another remover won
+        if (n->next.cas_mark(cv.ptr)) return {true, cv.ptr};
+      }
+    }
   }
 
   bool do_add(Handle& h, long key) {
@@ -493,12 +524,14 @@ class ListFamily {
     Node* from = nullptr;
     for (;;) {
       const Pos p = search(h, key, from);
-      if (p.cur != nullptr && p.cur->key == key) {
+      if (hit(p, key)) {
+        // Present (p.cur was live when observed): decided by the walk,
+        // no CAS -- the dead run before p.cur is left for an update.
         h.rh_->dispose(node);  // never published, still private
-        // The present node itself (live when observed; HP: kWalk still
-        // covers it) is the tightest start for the next, larger key.
+        // The present node itself (HP: kWalk still covers it) is the
+        // tightest start for the next, larger key.
         update_cursor(h, p.cur);
-        return false;  // present (the node was live when observed)
+        return false;
       }
       if (node == nullptr) {
         node = h.rh_->construct(key, p.cur, p.prev);
@@ -507,9 +540,12 @@ class ListFamily {
         if constexpr (kBack != Back::kNone)
           node->back.store(p.prev, std::memory_order_relaxed);
       }
-      if (p.prev->next.cas_clean(p.cur, node)) {
+      // The one CAS: links the node and detaches the dead run
+      // [left_next, cur) in the same step, so this op retires that run.
+      if (p.prev->next.cas_clean(p.left_next, node)) {
         h.rh_->track(node);
         refresh_back(p.cur, node);  // HP: p.cur is still in kWalk
+        retire_run(h, p.left_next, p.cur);
         if constexpr (kHazards) {
           update_cursor(h, p.prev);  // p.prev is anchor-protected; the
           maybe_publish(h, p.prev);  // fresh node is not in any slot
@@ -519,15 +555,15 @@ class ListFamily {
         }
         return true;
       }
-      // Lost the insert CAS. The mild variants resume from p.prev while
-      // it is unmarked -- the paper's first observation: the validated
-      // prefix is never re-walked -- instead of a fresh start_node(),
-      // and hop back from it once it died; draconic keeps Michael's
-      // fresh search, and HP its anchored walk.
+      // Lost the insert CAS. The mild arena/EBR rows resume from p.prev
+      // while it is unmarked -- the paper's first observation: the
+      // validated prefix is never re-walked -- instead of a fresh
+      // start_node(), and hop back from it once it died; draconic keeps
+      // Michael's fresh search, and HP its anchored walk.
       ++h.ctr_.restarts;
       if constexpr (kHopBack)
         from = recover(p.prev);
-      else if constexpr (kTraversal == Traversal::kMild && !kHazards)
+      else if constexpr (kLocates)
         from = !p.prev->next.load().marked ? p.prev : nullptr;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     }
@@ -536,45 +572,27 @@ class ListFamily {
   bool do_remove(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
-    if (p.cur == nullptr || p.cur->key != key) {
+    if (!hit(p, key)) {
       update_cursor(h, p.prev);
-      return false;
+      return false;  // absent: decided by the walk, no CAS
     }
-    bool won = false;
-    Node* succ = nullptr;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      const auto old = p.cur->next.fetch_or_mark();
-      won = !old.marked;
-      succ = old.ptr;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) break;  // another remover won
-        if (p.cur->next.cas_mark(cv.ptr)) {
-          won = true;
-          succ = cv.ptr;
-          break;
-        }
-      }
-    }
+    const Marked m = mark(p.cur);
     update_cursor(h, p.prev);
     maybe_publish(h, p.prev);
-    if (!won) return false;
+    if (!m.won) return false;
     if constexpr (kHazards && kBack == Back::kPrecise) {
       // Pin succ for the refresh below (kRun is idle between searches):
       // if the unlink CAS succeeds, succ was still attached when the
       // hazard became visible, so it cannot have been freed.
-      if (succ != nullptr) h.rh_->protect(hazard::kRun, succ);
+      if (m.succ != nullptr) h.rh_->protect(hazard::kRun, m.succ);
     }
-    // Physical unlink: one attempt in the mild variants (the next
-    // search will sweep it), mandatory help in the draconic one. A
-    // successful CAS detached exactly p.cur, so we own its retirement.
-    if (p.prev->next.cas_clean(p.cur, succ)) {
-      refresh_back(succ, p.prev);
-      if constexpr (Reclaim::kReclaims) {
-        hints_.purge(p.cur);
-        h.rh_->retire(p.cur);
-      }
+    // Physical unlink: one CAS detaches the dead run and the victim,
+    // [left_next, succ), so this op retires them all. The mild rows
+    // make one attempt and leave a lost one to the next update at this
+    // position; the draconic one must help.
+    if (p.prev->next.cas_clean(p.left_next, m.succ)) {
+      refresh_back(m.succ, p.prev);
+      retire_run(h, p.left_next, m.succ);
     } else {
       if constexpr (kTraversal == Traversal::kDraconic) search(h, key);
     }
@@ -601,53 +619,31 @@ class ListFamily {
 
   /// kMidOpAbandon: win the remove's marking CAS, then vanish -- no
   /// unlink attempt, no draconic helping, no cursor update. The node
-  /// stays marked-but-linked until a survivor's traversal sweeps it:
-  /// exactly the cooperative-helping obligation a crashed peer leaves
-  /// behind. Returns whether the logical remove took effect.
+  /// stays marked-but-linked until a survivor sweeps it (mild: the next
+  /// effective update at that position, inside its own CAS): exactly
+  /// the cooperative-helping obligation a crashed peer leaves behind.
+  /// Returns whether the logical remove took effect.
   bool do_remove_abandoned(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
-    if (p.cur == nullptr || p.cur->key != key) return false;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      return !p.cur->next.fetch_or_mark().marked;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) return false;  // another remover won
-        if (p.cur->next.cas_mark(cv.ptr)) return true;
-      }
-    }
+    return hit(p, key) && mark(p.cur).won;
   }
 
   /// kRetireSkipped: a complete remove -- mark and unlink -- that dies
-  /// between the unlink CAS and the retire. The detached node goes to
-  /// the domain's leak ledger instead of limbo; under the arena this
-  /// degrades to a normal remove (retire was a no-op anyway). A failed
-  /// unlink CAS leaves the node linked, degrading to kMidOpAbandon: a
-  /// survivor sweeps and retires it normally, and nothing leaks.
+  /// between the unlink CAS and the victim's retire. The detached
+  /// victim goes to the domain's leak ledger instead of limbo (the dead
+  /// run the same CAS swept out is retired as usual); under the arena
+  /// this degrades to a normal remove (retire was a no-op anyway). A
+  /// failed unlink CAS leaves the node linked, degrading to
+  /// kMidOpAbandon: a survivor sweeps and retires it, and nothing leaks.
   bool do_remove_leaky(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     const Pos p = search(h, key);
-    if (p.cur == nullptr || p.cur->key != key) return false;
-    bool won = false;
-    Node* succ = nullptr;
-    if constexpr (kMarking == Marking::kFetchOr) {
-      const auto old = p.cur->next.fetch_or_mark();
-      won = !old.marked;
-      succ = old.ptr;
-    } else {
-      for (;;) {
-        const auto cv = p.cur->next.load();
-        if (cv.marked) break;
-        if (p.cur->next.cas_mark(cv.ptr)) {
-          won = true;
-          succ = cv.ptr;
-          break;
-        }
-      }
-    }
-    if (!won) return false;
-    if (p.prev->next.cas_clean(p.cur, succ)) {
+    if (!hit(p, key)) return false;
+    const Marked m = mark(p.cur);
+    if (!m.won) return false;
+    if (p.prev->next.cas_clean(p.left_next, m.succ)) {
+      retire_run(h, p.left_next, p.cur);
       if constexpr (Reclaim::kReclaims) {
         hints_.purge(p.cur);  // a leaked node is freed at teardown, but
         h.rh_->leak(p.cur);   // it leaves the live chain now
@@ -660,28 +656,16 @@ class ListFamily {
     [[maybe_unused]] auto guard = h.rh_->guard();
     if constexpr (kTraversal == Traversal::kDraconic) {
       // Draconic readers help clean up (and pay the restarts for it).
-      const Pos p = search(h, key);
-      return p.cur != nullptr && p.cur->key == key;
+      return hit(search(h, key), key);
     } else if constexpr (kHazards) {
       return contains_hazard(h, key);
     } else {
-      // The fast lane (iset.hpp matrix): one forward pass from the
-      // tighter of cursor/hint/head, no CAS, no restart path at all.
-      Node* prev = start_node(h, key);
-      Node* cur = prev->next.load().ptr;
-      while (cur != nullptr) {
-        const auto cv = cur->next.load();
-        if (cv.marked) {
-          cur = cv.ptr;
-          continue;
-        }
-        if (cur->key >= key) break;
-        prev = cur;
-        cur = cv.ptr;
-      }
-      update_cursor(h, prev);
-      maybe_publish(h, prev);
-      return cur != nullptr && cur->key == key;
+      // The fast lane (iset.hpp matrix): one locate() from the tighter
+      // of cursor/hint/head, no CAS, no restart path at all.
+      const Pos p = locate(start_node(h, key), key);
+      update_cursor(h, p.prev);
+      maybe_publish(h, p.prev);
+      return hit(p, key);
     }
   }
 

@@ -54,6 +54,30 @@ static_assert(!DraconicList::kContainsCasFree &&
                   !DraconicListWith<reclaim::Ebr>::kContainsCasFree &&
                   !DraconicListWith<reclaim::Hp>::kContainsCasFree,
               "draconic readers help unlink: CAS by design");
+// The update path (iset.hpp matrix): a mild arena/EBR remove is one
+// locate(), a mark and at most one unlink CAS -- no retry loop exists.
+// Draconic removes help (restart on a lost helping CAS); HP removes run
+// the bounded-restart anchored walk.
+static_assert(SinglyList::kRemoveRestartFree &&
+                  SinglyListEbr::kRemoveRestartFree &&
+                  SinglyCursorList::kRemoveRestartFree &&
+                  SinglyCursorListEbr::kRemoveRestartFree &&
+                  SinglyFetchOrList::kRemoveRestartFree &&
+                  SinglyFetchOrListEbr::kRemoveRestartFree &&
+                  DoublyList::kRemoveRestartFree &&
+                  DoublyListWith<reclaim::Ebr>::kRemoveRestartFree &&
+                  DoublyCursorList::kRemoveRestartFree &&
+                  DoublyCursorListEbr::kRemoveRestartFree &&
+                  SinglyCursorBackoffList::kRemoveRestartFree &&
+                  DoublyCursorNoPrecList::kRemoveRestartFree,
+              "arena/EBR mild remove must stay restart-free");
+static_assert(!SinglyListHp::kRemoveRestartFree &&
+                  !SinglyFetchOrListHp::kRemoveRestartFree &&
+                  !DoublyCursorListHp::kRemoveRestartFree,
+              "HP remove is bounded-restart, not restart-free");
+static_assert(!DraconicList::kRemoveRestartFree &&
+                  !DraconicListWith<reclaim::Ebr>::kRemoveRestartFree,
+              "draconic removes restart on a lost helping CAS");
 static_assert(DoublyList::kContainsCasFree &&
                   DoublyListWith<reclaim::Ebr>::kContainsCasFree &&
                   DoublyListWith<reclaim::Hp>::kContainsCasFree &&

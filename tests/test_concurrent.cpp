@@ -123,16 +123,18 @@ TEST_P(EveryVariant, DeterministicDriverDrainsTheSet) {
 
 // --- starvation tier -------------------------------------------------
 //
-// One reader versus writer saturation: the writers hammer add/remove
-// for the whole run, and the reader must still complete a FIXED number
-// of contains calls -- not "eventually", but with a restart budget
-// proportional to its own op count. This is the progress-guarantee
-// matrix of iset.hpp made operational: restart-free cells must report
-// zero reader restarts; bounded-restart (HP) and version-confirm
-// (unrolled) cells must stay under a linear budget, never livelock.
+// One reader and one remover versus writer saturation: the writers
+// hammer add/remove for the whole run, and the reader and the remover
+// must each still complete a FIXED number of calls -- not "eventually",
+// but with a restart budget proportional to their own op count. This
+// is the progress-guarantee matrix of iset.hpp made operational:
+// restart-free cells must report zero restarts; bounded-restart (HP),
+// helping (draconic) and version-confirm (unrolled) cells must stay
+// under a linear budget, never livelock.
 struct StarvationCase {
   std::string_view id;
-  bool reader_restart_free;  // kContainsRestartFree for this cell
+  bool reader_restart_free;   // kContainsRestartFree for this cell
+  bool remover_restart_free;  // kRemoveRestartFree for this cell
 };
 
 class ReaderVsWriterSaturation
@@ -140,15 +142,17 @@ class ReaderVsWriterSaturation
 
 INSTANTIATE_TEST_SUITE_P(
     ReclaimGrid, ReaderVsWriterSaturation,
-    ::testing::Values(StarvationCase{"singly", true},
-                      StarvationCase{"singly/ebr", true},
-                      StarvationCase{"singly/hp", false},
-                      StarvationCase{"doubly_cursor", true},
-                      StarvationCase{"doubly_cursor/ebr", true},
-                      StarvationCase{"doubly_cursor/hp", false},
-                      StarvationCase{"unrolled_k8/ebr", false},
-                      StarvationCase{"unrolled_k8/hp", false},
-                      StarvationCase{"singly/ebr/nohint", true}),
+    ::testing::Values(StarvationCase{"singly", true, true},
+                      StarvationCase{"singly/ebr", true, true},
+                      StarvationCase{"singly/hp", false, false},
+                      StarvationCase{"singly_fetch_or/ebr", true, true},
+                      StarvationCase{"doubly_cursor", true, true},
+                      StarvationCase{"doubly_cursor/ebr", true, true},
+                      StarvationCase{"doubly_cursor/hp", false, false},
+                      StarvationCase{"draconic/ebr", false, false},
+                      StarvationCase{"unrolled_k8/ebr", false, false},
+                      StarvationCase{"unrolled_k8/hp", false, false},
+                      StarvationCase{"singly/ebr/nohint", true, true}),
     [](const ::testing::TestParamInfo<StarvationCase>& info) {
       std::string name(info.param.id);
       for (char& c : name)
@@ -165,25 +169,34 @@ TEST_P(ReaderVsWriterSaturation, ReaderCompletesUnderABoundedBudget) {
     auto h = set->make_handle();
     for (long k = 0; k < kUniverse; k += 2) ASSERT_TRUE(h->add(k));
   }
-  std::atomic<bool> stop{false};
+  std::atomic<int> measured_done{0};
   core::OpCounters reader;
+  core::OpCounters remover;
   harness::run_team(
       kThreads,
       [&](int t) {
         auto h = set->make_handle();
         workload::Rng rng(workload::thread_seed(1234, t));
+        const auto churned = [&] {
+          return static_cast<long>(rng.below(kUniverse / 2)) * 2 + 1;
+        };
         if (t == 0) {
           for (long i = 0; i < kReaderOps; ++i)
             h->contains(static_cast<long>(rng.below(kUniverse)));
           reader = h->counters();
-          stop.store(true, std::memory_order_relaxed);
+          measured_done.fetch_add(1, std::memory_order_relaxed);
+        } else if (t == 1) {
+          // Remove-only, on the churned keys: a mix of hits (mark +
+          // unlink CAS) and decided misses, amid the writers' dead runs.
+          for (long i = 0; i < kReaderOps; ++i) h->remove(churned());
+          remover = h->counters();
+          measured_done.fetch_add(1, std::memory_order_relaxed);
         } else {
           // Saturating churn on the odd keys: the evens stay put so
-          // the reader's walks cross an always-hot interleaving of
+          // the measured walks cross an always-hot interleaving of
           // marked/unlinked nodes.
-          while (!stop.load(std::memory_order_relaxed)) {
-            const long k =
-                static_cast<long>(rng.below(kUniverse / 2)) * 2 + 1;
+          while (measured_done.load(std::memory_order_relaxed) < 2) {
+            const long k = churned();
             h->add(k);
             h->remove(k);
           }
@@ -194,12 +207,19 @@ TEST_P(ReaderVsWriterSaturation, ReaderCompletesUnderABoundedBudget) {
   std::string err;
   ASSERT_TRUE(set->validate(&err)) << err;
   EXPECT_EQ(reader.con_calls, kReaderOps);
+  EXPECT_EQ(remover.rem_calls, kReaderOps);
   if (cs.reader_restart_free)
     EXPECT_EQ(reader.restarts, 0)
         << cs.id << ": a restart-free contains cell restarted";
   else
     EXPECT_LE(reader.restarts, kReaderOps * 16 + 4096)
         << cs.id << ": reader restarts blew the linear budget";
+  if (cs.remover_restart_free)
+    EXPECT_EQ(remover.restarts, 0)
+        << cs.id << ": a restart-free remove cell restarted";
+  else
+    EXPECT_LE(remover.restarts, kReaderOps * 16 + 4096)
+        << cs.id << ": remover restarts blew the linear budget";
 }
 
 // The random-mix driver's ledger must balance for the six paper

@@ -7,7 +7,8 @@
 // diverge on the same shared list. Every cursor variant runs under
 // every reclaimer: the cursor is on under EBR too, where it is only
 // followed within the epoch it was stamped in (the EbrCursorEpoch
-// suite below pins that rule).
+// suite below pins that rule). The OneCasPerUpdate test pins the mild
+// update rule the cursor rides on: decided ops issue no CAS.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -173,6 +174,51 @@ TEST(BackPointerRecovery, OnlyArenaBackPointerRowsKeepTheCursor) {
   EXPECT_EQ(
       cursor_hits_after_losing_the_cursor_node<core::DoublyCursorListEbr>(),
       0);
+}
+
+// One CAS per effective update, on the mild arena/EBR rows: a remove
+// that crashed after its mark leaves key 5 marked but still linked.
+// Ops whose walk decides the answer -- removing the absent 5, adding
+// the present 6, looking 6 up -- issue no CAS, so they must leave the
+// dead node exactly where it is: nothing detached, nothing retired, no
+// restart. The next effective update at that position, add(5), carries
+// the dead node out inside its own insert CAS and retires it.
+template <typename List>
+void decided_ops_leave_the_dead_node_to_the_next_update() {
+  List list;
+  auto h = list.make_handle();
+  for (long k = 0; k < 10; ++k) ASSERT_TRUE(h.add(k));
+  {
+    auto crashed = list.make_handle();
+    crashed.abandon(faults::FaultKind::kMidOpAbandon, 5);
+  }
+  ASSERT_EQ(list.size(), 9u);
+  ASSERT_EQ(list.linked_node_count(), 10u);
+  const std::size_t limbo = list.limbo_nodes();
+
+  EXPECT_FALSE(h.remove(5));
+  EXPECT_FALSE(h.add(6));
+  EXPECT_TRUE(h.contains(6));
+  EXPECT_EQ(list.linked_node_count(), 10u) << "a decided op swept";
+  EXPECT_EQ(list.limbo_nodes(), limbo) << "a decided op retired";
+  EXPECT_EQ(h.counters().restarts, 0);
+
+  EXPECT_TRUE(h.add(5));
+  EXPECT_EQ(list.linked_node_count(), 10u)
+      << "the insert CAS did not detach the dead node";
+  EXPECT_EQ(list.limbo_nodes(), limbo + (List::Reclaim::kReclaims ? 1 : 0));
+  EXPECT_EQ(h.counters().restarts, 0);
+  EXPECT_EQ(list.snapshot(), (std::vector<long>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  std::string err;
+  EXPECT_TRUE(list.validate(&err)) << err;
+}
+
+TEST(OneCasPerUpdate, DecidedOpsLeaveTheDeadNodeToTheNextUpdate) {
+  decided_ops_leave_the_dead_node_to_the_next_update<
+      core::SinglyFetchOrListWith<reclaim::Ebr>>();
+  decided_ops_leave_the_dead_node_to_the_next_update<
+      core::SinglyListWith<reclaim::Ebr>>();
+  decided_ops_leave_the_dead_node_to_the_next_update<core::DoublyCursorList>();
 }
 
 // A cursor saved in one epoch must never be followed after the epoch
