@@ -100,7 +100,8 @@ struct OpCounters {
 //   remove (mild,     decided (absent): no CAS;  lock-free, bounded-
 //     singly/doubly)  else mark + one unlink     restart (anchored walk)
 //                     CAS that also sweeps;
-//                     restart-free (no retry)
+//                     restart-free (only a
+//                     CAS-mark can retry)
 //   add/remove        lock-free (CAS retry, help-unlink restarts from
 //     (draconic,      head); hint/cursor starts shorten the reattempt
 //     unrolled)       walk

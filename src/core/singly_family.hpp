@@ -123,11 +123,13 @@ class ListFamily {
   /// the matrix in iset.hpp). The mild variants answer contains()
   /// without ever issuing a CAS; on top of that, the arena/EBR walk is
   /// one forward pass -- locate() has no restart path at all. The same
-  /// walk makes the arena/EBR mild remove restart-free: it marks, tries
-  /// one unlink CAS and never loops. Draconic readers help unlink (CAS +
-  /// restart on a lost CAS) by design; HP readers are CAS-free but
-  /// bounded-restart (anchored_walk resumes from the last validated
-  /// anchor).
+  /// walk makes the arena/EBR mild remove restart-free: one locate(), the
+  /// mark (a fetch_or, or a lock-free CAS-mark loop that restarts
+  /// nothing) and at most one unlink CAS. These are also the rows whose
+  /// add, remove and contains position themselves with locate().
+  /// Draconic readers help unlink (CAS + restart on a lost CAS) by
+  /// design; HP readers are CAS-free but bounded-restart (anchored_walk
+  /// resumes from the last validated anchor).
   static constexpr bool kContainsCasFree = kTraversal == Traversal::kMild;
   static constexpr bool kContainsRestartFree =
       kContainsCasFree && !ReclaimPolicy<Node>::kHazards;
@@ -136,9 +138,6 @@ class ListFamily {
 
  private:
   static constexpr bool kHazards = Reclaim::kHazards;
-  // Mild arena/EBR rows: every op positions itself with locate().
-  static constexpr bool kLocates =
-      kTraversal == Traversal::kMild && !kHazards;
   // Back hints are followed only where addresses are stable (the
   // arena); a reclaimer may have freed a hint's target.
   static constexpr bool kHopBack =
@@ -408,7 +407,7 @@ class ListFamily {
   /// their left_next is cur; they keep their own restart points and
   /// ignore `from`.
   Pos search(Handle& h, long key, Node* from = nullptr) {
-    if constexpr (kLocates)
+    if constexpr (kRemoveRestartFree)
       return locate(from != nullptr ? from : start_node(h, key), key);
     else if constexpr (kHazards)
       return search_hazard(h, key);
@@ -422,12 +421,21 @@ class ListFamily {
   /// (arena: stable addresses; EBR: the op's pin). Every node of
   /// [left_next, cur) was seen marked, so its next is frozen: one CAS
   /// prev->next: left_next -> x detaches that whole run together with
-  /// whatever the update links or unlinks. prev was seen live, except
-  /// a start that died since start_node() checked it; a CAS on a
-  /// marked prev fails, so an update then just resumes.
-  static Pos locate(Node* start, long key) {
+  /// whatever the update links or unlinks. prev was seen live, so an
+  /// effective remove always has a live prev for its unlink CAS.
+  Pos locate(Node* start, long key) {
+    auto pv = start->next.load();
+    // The start died since start_node() checked it. Each back hop lands
+    // on a smaller key, so this ends at the head at worst.
+    while (pv.marked) {
+      if constexpr (kHopBack)
+        start = recover(start);
+      else
+        start = head_;  // never marked
+      pv = start->next.load();
+    }
     Node* prev = start;
-    Node* left_next = prev->next.load().ptr;
+    Node* left_next = pv.ptr;
     Node* cur = left_next;
     while (cur != nullptr) {
       const auto cv = cur->next.load();
@@ -563,7 +571,7 @@ class ListFamily {
       ++h.ctr_.restarts;
       if constexpr (kHopBack)
         from = recover(p.prev);
-      else if constexpr (kLocates)
+      else if constexpr (kRemoveRestartFree)
         from = !p.prev->next.load().marked ? p.prev : nullptr;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     }
@@ -654,17 +662,17 @@ class ListFamily {
 
   bool do_contains(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if constexpr (kTraversal == Traversal::kDraconic) {
-      // Draconic readers help clean up (and pay the restarts for it).
-      return hit(search(h, key), key);
-    } else if constexpr (kHazards) {
+    if constexpr (kHazards && kTraversal == Traversal::kMild) {
       return contains_hazard(h, key);
     } else {
-      // The fast lane (iset.hpp matrix): one locate() from the tighter
-      // of cursor/hint/head, no CAS, no restart path at all.
-      const Pos p = locate(start_node(h, key), key);
-      update_cursor(h, p.prev);
-      maybe_publish(h, p.prev);
+      // Mild: the fast lane (iset.hpp matrix), one locate() from the
+      // tighter of cursor/hint/head, no CAS, no restart path at all.
+      // Draconic readers help clean up (and pay the restarts for it).
+      const Pos p = search(h, key);
+      if constexpr (kTraversal == Traversal::kMild) {
+        update_cursor(h, p.prev);
+        maybe_publish(h, p.prev);
+      }
       return hit(p, key);
     }
   }

@@ -55,7 +55,9 @@ static_assert(!DraconicList::kContainsCasFree &&
                   !DraconicListWith<reclaim::Hp>::kContainsCasFree,
               "draconic readers help unlink: CAS by design");
 // The update path (iset.hpp matrix): a mild arena/EBR remove is one
-// locate(), a mark and at most one unlink CAS -- no retry loop exists.
+// locate(), a mark (one fetch_or, or a lock-free CAS-mark loop that the
+// restart counter does not count) and at most one unlink CAS -- it never
+// restarts.
 // Draconic removes help (restart on a lost helping CAS); HP removes run
 // the bounded-restart anchored walk.
 static_assert(SinglyList::kRemoveRestartFree &&

@@ -352,6 +352,10 @@ void Server::Worker::close_conn(int fd) {
 struct Server::AcceptorState {
   Fd listen;
   WakeFd wake;
+  // Made with the server, not in the acceptor thread: once start()
+  // returns, the acceptor needs no new fd (a full fd table must not
+  // abort it).
+  Epoll ep;
   std::mutex mu;
   std::deque<Clock::time_point> reap_at;  // fault deadlines, FIFO
 };
@@ -366,10 +370,8 @@ void Server::record_fault() {
 
 void Server::acceptor_loop() {
   constexpr auto kTick = std::chrono::milliseconds(20);
-  Epoll ep;
+  Epoll& ep = acc_->ep;
   const int listen_fd = acc_->listen.get();
-  ep.add(listen_fd, EPOLLIN);
-  ep.add(acc_->wake.get(), EPOLLIN);
   std::size_t next_worker = 0;
   epoll_event evs[16];
   // Set while the listen fd is out of the epoll set after a hard
@@ -454,6 +456,8 @@ bool Server::start(std::string* err) {
   }
   port_ = bound_port(acc_->listen.get());
   listen_fd_ = acc_->listen.get();
+  acc_->ep.add(listen_fd_, EPOLLIN);
+  acc_->ep.add(acc_->wake.get(), EPOLLIN);
   running_.store(true, std::memory_order_release);
   started_ = true;
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));

@@ -123,14 +123,15 @@ TEST_P(EveryVariant, DeterministicDriverDrainsTheSet) {
 
 // --- starvation tier -------------------------------------------------
 //
-// One reader and one remover versus writer saturation: the writers
-// hammer add/remove for the whole run, and the reader and the remover
-// must each still complete a FIXED number of calls -- not "eventually",
-// but with a restart budget proportional to their own op count. This
-// is the progress-guarantee matrix of iset.hpp made operational:
-// restart-free cells must report zero restarts; bounded-restart (HP),
-// helping (draconic) and version-confirm (unrolled) cells must stay
-// under a linear budget, never livelock.
+// One reader and one remover versus writer saturation: kThreads - 1
+// writers hammer add/remove for the whole run, one more thread leaves
+// dead nodes linked for them to cross, and the reader and the remover
+// must each still complete a FIXED number of calls -- not
+// "eventually", but with a restart budget proportional to their own op
+// count. This is the progress-guarantee matrix of iset.hpp made
+// operational: restart-free cells must report zero restarts;
+// bounded-restart (HP), helping (draconic) and version-confirm
+// (unrolled) cells must stay under a linear budget, never livelock.
 struct StarvationCase {
   std::string_view id;
   bool reader_restart_free;   // kContainsRestartFree for this cell
@@ -172,8 +173,12 @@ TEST_P(ReaderVsWriterSaturation, ReaderCompletesUnderABoundedBudget) {
   std::atomic<int> measured_done{0};
   core::OpCounters reader;
   core::OpCounters remover;
+  // Threads 1..kThreads-1 are the writers; the remover and the
+  // abandoner are added on top.
+  constexpr int kRemover = kThreads;
+  constexpr int kAbandoner = kThreads + 1;
   harness::run_team(
-      kThreads,
+      kThreads + 2,
       [&](int t) {
         auto h = set->make_handle();
         workload::Rng rng(workload::thread_seed(1234, t));
@@ -185,12 +190,21 @@ TEST_P(ReaderVsWriterSaturation, ReaderCompletesUnderABoundedBudget) {
             h->contains(static_cast<long>(rng.below(kUniverse)));
           reader = h->counters();
           measured_done.fetch_add(1, std::memory_order_relaxed);
-        } else if (t == 1) {
+        } else if (t == kRemover) {
           // Remove-only, on the churned keys: a mix of hits (mark +
           // unlink CAS) and decided misses, amid the writers' dead runs.
           for (long i = 0; i < kReaderOps; ++i) h->remove(churned());
           remover = h->counters();
           measured_done.fetch_add(1, std::memory_order_relaxed);
+        } else if (t == kAbandoner) {
+          // Leaves marked-but-linked nodes (a remove that dies after its
+          // mark), so dead runs linger until an update swings them out:
+          // a remove that swept on a decided miss would race for them.
+          while (measured_done.load(std::memory_order_relaxed) < 2) {
+            const long k = churned();
+            h->add(k);
+            h->abandon(faults::FaultKind::kMidOpAbandon, k);
+          }
         } else {
           // Saturating churn on the odd keys: the evens stay put so
           // the measured walks cross an always-hot interleaving of
