@@ -14,6 +14,16 @@ int hardware_cpus() {
   return n == 0 ? 1 : static_cast<int>(n);
 }
 
+int affinity_cpus() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) == 0)
+    return CPU_COUNT(&mask) > 0 ? CPU_COUNT(&mask) : 1;
+#endif
+  return hardware_cpus();
+}
+
 bool pin_current_thread(int cpu) {
 #if defined(__linux__)
   const int n = hardware_cpus();

@@ -136,8 +136,10 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
   }
   if (argc < 1) return fail("empty frame");
 
-  std::vector<std::string> out;
-  out.reserve(static_cast<std::size_t>(argc));
+  // Payload spans are collected first and copied out only once the
+  // whole frame is known good, so *args is untouched unless kFrame.
+  std::size_t span_at[kMaxArgs] = {};
+  std::size_t span_len[kMaxArgs] = {};
   at = after;
   for (long i = 0; i < argc; ++i) {
     if (at >= end) {
@@ -163,10 +165,17 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
     }
     if (buf_[after + n] != '\r' || buf_[after + n + 1] != '\n')
       return fail("bulk payload not CRLF-terminated");
-    out.emplace_back(buf_, after, n);
+    span_at[i] = after;
+    span_len[i] = n;
     at = after + n + 2;
   }
 
+  // Overwrite in place: the vector keeps its capacity and each kept
+  // string its buffer, so a steady stream of frames allocates nothing.
+  args->resize(static_cast<std::size_t>(argc));
+  for (long i = 0; i < argc; ++i)
+    (*args)[static_cast<std::size_t>(i)].assign(buf_, span_at[i],
+                                                span_len[i]);
   pos_ = at;
   // Reclaim the consumed prefix once it dominates the buffer, so a
   // long-lived pipelined connection cannot grow it without bound.
@@ -174,7 +183,6 @@ ParseStatus FrameParser::next(std::vector<std::string>* args) {
     buf_.erase(0, pos_);
     pos_ = 0;
   }
-  *args = std::move(out);
   return ParseStatus::kFrame;
 }
 

@@ -88,6 +88,9 @@ class FrameParser {
   void feed(const char* data, std::size_t n) { buf_.append(data, n); }
   void feed(std::string_view bytes) { buf_.append(bytes); }
 
+  /// On kFrame, overwrites *args with the frame's arguments, reusing
+  /// the vector's capacity and its strings' buffers; on kNeedMore and
+  /// kError, *args is left as it was.
   ParseStatus next(std::vector<std::string>* args);
 
   const std::string& error() const { return err_; }

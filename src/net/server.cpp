@@ -1,6 +1,7 @@
 #include "src/net/server.hpp"
 
 #include <netinet/tcp.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include "src/common/affinity.hpp"
 #include "src/common/debug.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/net/socket.hpp"
@@ -21,6 +23,20 @@ namespace pragmalist::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// How long a busy-polling worker keeps polling after a batch before it
+/// blocks (see server.hpp).
+constexpr std::chrono::microseconds kPollWindow{50};
+/// Most batches a worker blocks through, without polling, after
+/// wasted polls in a row.
+constexpr int kMaxPollBackoff = 256;
+
+/// Times the calling thread was preempted while runnable.
+long involuntary_switches() {
+  rusage ru{};
+  ::getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_nivcsw;
+}
 
 std::string upper(std::string_view s) {
   std::string u(s);
@@ -118,12 +134,16 @@ struct Server::Worker {
   std::atomic<long> closed{0};
   std::atomic<long> proto_errors{0};
   std::atomic<long> active{0};
+  std::atomic<long> poll_hits{0};
   std::atomic<std::size_t> out_peak{0};  // written by the worker only
 
   // Written by the worker thread only; read after join.
   core::OpCounters folded;
   harness::LatencyProfile profile;
   bool fault_fired_ = false;  // each plan entry fires at most once
+  // The frame serve() parses into, reused by every frame so that a
+  // steady request stream allocates nothing per frame.
+  std::vector<std::string> args;
 
   struct Conn {
     explicit Conn(std::size_t max_frame) : parser(max_frame) {}
@@ -144,8 +164,13 @@ struct Server::Worker {
   /// kMaxPendingOut: kDrained once the socket has nothing more, kFull
   /// at the cap, kClosed if the connection is gone.
   Served serve(int fd, Conn& conn, std::unique_ptr<core::ISetHandle>& handle);
-  void handle_frame(Conn& conn, const std::vector<std::string>& args,
-                    std::unique_ptr<core::ISetHandle>& handle);
+  /// Execute the frame in `args`.
+  void handle_frame(Conn& conn, std::unique_ptr<core::ISetHandle>& handle);
+  long data_ops_so_far() const {
+    long sum = 0;
+    for (const auto& d : dispatched) sum += d.load(std::memory_order_relaxed);
+    return sum;
+  }
   /// Write as much buffered output as the socket takes, then re-arm
   /// the interest set: EPOLLIN only under the cap, EPOLLOUT while
   /// output is pending. False when the connection died under us.
@@ -160,10 +185,38 @@ void Server::Worker::run() {
   auto handle = server->set_->make_handle();
   ep.add(wake.get(), EPOLLIN);
 
+  // Busy-polling (see server.hpp). `poll` holds while the last gap
+  // between the end of a batch and the next event was under
+  // kPollWindow; the next wait then polls until kPollWindow has passed
+  // since `idle_from`, the end of the last batch, and only then blocks.
+  // A wasted poll -- it expired empty, or the worker was preempted
+  // since its last poll, so its core is shared with a thread that
+  // needs it -- makes the worker block through the next `backoff`
+  // batches that would have polled. The backoff doubles with each
+  // wasted poll, up to kMaxPollBackoff, and resets on a clean hit.
+  const bool busy_poll = server->busy_poll_;
+  bool poll = false;
+  int skip = 0, backoff = 1;
+  long preempted = busy_poll ? involuntary_switches() : 0;
+  Clock::time_point idle_from{};
   epoll_event evs[64];
   bool running = true;
   while (running) {
-    const int n = ep.wait(evs, 64, -1);
+    int n = 0;
+    const bool polled = poll && skip == 0;
+    if (polled) {
+      const Clock::time_point until = idle_from + kPollWindow;
+      while ((n = ep.wait(evs, 64, 0)) == 0 && Clock::now() < until) {
+      }
+      if (n > 0) poll_hits.fetch_add(1, std::memory_order_relaxed);
+    } else if (poll) {
+      --skip;
+    }
+    const bool hit = n > 0;
+    if (n == 0) {
+      n = ep.wait(evs, 64, -1);
+      if (busy_poll) poll = Clock::now() - idle_from < kPollWindow;
+    }
     for (int i = 0; i < n; ++i) {
       if (evs[i].data.fd == wake.get()) {
         wake.drain();
@@ -174,6 +227,18 @@ void Server::Worker::run() {
       }
       handle_io(evs[i].data.fd, evs[i].events, handle);
     }
+    if (polled) {
+      // Read after the replies are out, so it delays no request.
+      const long now_preempted = involuntary_switches();
+      if (hit && now_preempted == preempted) {
+        backoff = 1;
+      } else {
+        skip = backoff;
+        backoff = std::min(2 * backoff, kMaxPollBackoff);
+      }
+      preempted = now_preempted;
+    }
+    if (busy_poll) idle_from = Clock::now();
   }
 
   // Shutdown: drop every connection, then depart the lease cleanly
@@ -229,7 +294,6 @@ void Server::Worker::handle_io(int fd, std::uint32_t events,
 
 Server::Worker::Served Server::Worker::serve(
     int fd, Conn& conn, std::unique_ptr<core::ISetHandle>& handle) {
-  std::vector<std::string> args;
   bool drained = false;
   for (;;) {
     while (conn.out.size() < kMaxPendingOut) {
@@ -245,7 +309,7 @@ Server::Worker::Served Server::Worker::serve(
         close_conn(fd);
         return Served::kClosed;
       }
-      handle_frame(conn, args, handle);
+      handle_frame(conn, handle);
     }
     if (conn.out.size() >= kMaxPendingOut) return Served::kFull;
     if (drained) return Served::kDrained;
@@ -268,18 +332,12 @@ Server::Worker::Served Server::Worker::serve(
 }
 
 void Server::Worker::handle_frame(Conn& conn,
-                                  const std::vector<std::string>& args,
                                   std::unique_ptr<core::ISetHandle>& handle) {
   frames.fetch_add(1, std::memory_order_relaxed);
 
-  const long data_ops_so_far =
-      dispatched[0].load(std::memory_order_relaxed) +
-      dispatched[1].load(std::memory_order_relaxed) +
-      dispatched[2].load(std::memory_order_relaxed) +
-      dispatched[3].load(std::memory_order_relaxed);
   const faults::FaultSpec* fault = server->cfg_.faults.find(index);
   if (fault != nullptr && !fault_fired_ && is_data_op(args) &&
-      data_ops_so_far >= fault->op_ordinal) {
+      data_ops_so_far() >= fault->op_ordinal) {
     // The request handler "crashes" mid-request: the lease is
     // abandoned with the op's key (the op-level kinds perform their
     // deliberately botched remove of it), the client gets an error,
@@ -458,6 +516,7 @@ bool Server::start(std::string* err) {
   listen_fd_ = acc_->listen.get();
   acc_->ep.add(listen_fd_, EPOLLIN);
   acc_->ep.add(acc_->wake.get(), EPOLLIN);
+  busy_poll_ = affinity_cpus() >= 2 * cfg_.workers;
   running_.store(true, std::memory_order_release);
   started_ = true;
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
@@ -492,7 +551,7 @@ void Server::stop() {
 
 std::string Server::info() const {
   long calls[harness::kNumOpClasses] = {};
-  long frames = 0, active = 0, closed = 0, proto_errors = 0;
+  long frames = 0, active = 0, closed = 0, proto_errors = 0, poll_hits = 0;
   for (const auto& w : workers_) {
     for (int c = 0; c < harness::kNumOpClasses; ++c)
       calls[c] += w->dispatched[c].load(std::memory_order_relaxed);
@@ -500,11 +559,14 @@ std::string Server::info() const {
     active += w->active.load(std::memory_order_relaxed);
     closed += w->closed.load(std::memory_order_relaxed);
     proto_errors += w->proto_errors.load(std::memory_order_relaxed);
+    poll_hits += w->poll_hits.load(std::memory_order_relaxed);
   }
   const faults::BlastStats blast = set_->blast_stats();
   std::ostringstream os;
   os << "set:" << cfg_.set_id << "\n"
      << "workers:" << cfg_.workers << "\n"
+     << "busy_poll:" << (busy_poll_ ? 1 : 0) << "\n"
+     << "poll_hits:" << poll_hits << "\n"
      << "accepted:" << accepted_.load(std::memory_order_relaxed) << "\n"
      << "accept_errors:" << accept_errors_.load(std::memory_order_relaxed)
      << "\n"
@@ -538,6 +600,7 @@ ServerStats Server::stats() const {
     s.closed += w->closed.load(std::memory_order_relaxed);
     s.frames += w->frames.load(std::memory_order_relaxed);
     s.protocol_errors += w->proto_errors.load(std::memory_order_relaxed);
+    s.poll_hits += w->poll_hits.load(std::memory_order_relaxed);
     s.out_peak =
         std::max(s.out_peak, w->out_peak.load(std::memory_order_relaxed));
   }

@@ -7,7 +7,10 @@
 // (abandon -> -ERR -> re-lease -> supervisor reap) over the wire.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/affinity.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/net/loadgen.hpp"
 #include "src/net/protocol.hpp"
@@ -87,6 +91,27 @@ TEST(FrameParser, SplitAcrossFeedsMidPayload) {
   p.feed(wire.substr(9));
   ASSERT_EQ(p.next(&args), ParseStatus::kFrame);
   EXPECT_EQ(args, (std::vector<std::string>{"SCAN", "100", "64"}));
+}
+
+TEST(FrameParser, ReusesOneVectorAcrossShrinkingFrames) {
+  // The server parses every frame of a worker into one vector: each
+  // frame must replace the previous one exactly, with no argument of a
+  // longer earlier frame left behind.
+  FrameParser p;
+  p.feed(frame_of({"SCAN", "-12345678901", "64"}));
+  p.feed(frame_of({"SET", "7"}));
+  p.feed(frame_of({"PING"}));
+  std::vector<std::string> args;
+  ASSERT_EQ(p.next(&args), ParseStatus::kFrame);
+  EXPECT_EQ(args, (std::vector<std::string>{"SCAN", "-12345678901", "64"}));
+  ASSERT_EQ(p.next(&args), ParseStatus::kFrame);
+  EXPECT_EQ(args, (std::vector<std::string>{"SET", "7"}));
+  ASSERT_EQ(p.next(&args), ParseStatus::kFrame);
+  EXPECT_EQ(args, (std::vector<std::string>{"PING"}));
+  // kNeedMore leaves the last frame in place.
+  p.feed("*2\r\n$3\r\nGET");
+  EXPECT_EQ(p.next(&args), ParseStatus::kNeedMore);
+  EXPECT_EQ(args, (std::vector<std::string>{"PING"}));
 }
 
 TEST(FrameParser, RejectsMalformedStreams) {
@@ -580,6 +605,132 @@ TEST(Server, AcceptorBacksOffWhenOutOfFds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(server.stats().accepted, 1) << "pending client never accepted";
   EXPECT_NE(server.info().find("accept_errors:"), std::string::npos);
+  server.stop();
+}
+
+/// The value of `key` in an INFO body ("key:value" lines), or -1.
+long info_field(const std::string& info, const std::string& key) {
+  const std::string tag = "\n" + key + ":";
+  const std::size_t at = ("\n" + info).find(tag);
+  if (at == std::string::npos) return -1;
+  return std::stol(info.substr(at + tag.size() - 1));
+}
+
+/// A depth-1 burst on one blocking connection: `ops` GETs of absent
+/// keys, each sent only after the previous reply arrived. A plain
+/// socket loop, so the client turns each reply around in a few
+/// microseconds even under a sanitizer.
+bool depth1_burst(int port, long ops) {
+  net::Fd client(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  sockaddr_in addr{};
+  if (!client.valid() || !net::make_addr("127.0.0.1", port, &addr) ||
+      ::connect(client.get(), reinterpret_cast<sockaddr*>(&addr),
+                sizeof(addr)) != 0)
+    return false;
+  const int one = 1;
+  ::setsockopt(client.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  const std::string get = frame_of({"GET", "7"});
+  for (long i = 0; i < ops; ++i) {
+    if (::write(client.get(), get.data(), get.size()) !=
+        static_cast<ssize_t>(get.size()))
+      return false;
+    char reply[4];
+    std::size_t got = 0;
+    while (got < sizeof(reply)) {
+      const ssize_t n = ::read(client.get(), reply + got, sizeof(reply) - got);
+      if (n <= 0) return false;
+      got += static_cast<std::size_t>(n);
+    }
+    if (std::string(reply, sizeof(reply)) != ":0\r\n") return false;
+  }
+  return true;
+}
+
+double process_cpu_ms() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+/// Restricts the calling thread to one CPU for its lifetime; threads
+/// it spawns meanwhile inherit the mask.
+struct OneCpu {
+  cpu_set_t saved{};
+  bool ok = false;
+  OneCpu() {
+    if (::sched_getaffinity(0, sizeof(saved), &saved) != 0) return;
+    int first = 0;
+    while (first < CPU_SETSIZE && !CPU_ISSET(first, &saved)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ok = ::sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~OneCpu() {
+    if (ok) ::sched_setaffinity(0, sizeof(saved), &saved);
+  }
+};
+
+// A polling worker must stop polling once its clients go quiet: after
+// a depth-1 burst the whole process (server and test alike) is idle,
+// and an idle server sleeps in epoll_wait. The acceptor's 20 ms
+// supervisor tick is the only wakeup left.
+TEST(Server, IdleWorkersSleep) {
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ASSERT_TRUE(depth1_burst(server.port(), 2000));
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const double before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double used = process_cpu_ms() - before;
+  EXPECT_LT(used, 30.0) << "the server kept a core busy while idle";
+  server.stop();
+}
+
+// Polling is switched on only when every worker can have a core of its
+// own next to a client: twice as many CPUs in the affinity mask as
+// workers. On fewer CPUs the loop blocks exactly as before.
+TEST(Server, BusyPollNeedsSpareCpus) {
+  {
+    const OneCpu pin;
+    ASSERT_TRUE(pin.ok);
+    net::ServerConfig scfg;
+    scfg.port = 0;
+    scfg.workers = 1;
+    net::Server server(scfg);
+    std::string err;
+    ASSERT_TRUE(server.start(&err)) << err;
+    ASSERT_TRUE(depth1_burst(server.port(), 2000));
+    EXPECT_EQ(info_field(server.info(), "busy_poll"), 0);
+    EXPECT_EQ(info_field(server.info(), "poll_hits"), 0);
+    EXPECT_EQ(server.stats().poll_hits, 0);
+    server.stop();
+  }
+  if (affinity_cpus() < 2)
+    GTEST_SKIP() << "polling needs 2 CPUs for one worker";
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  EXPECT_EQ(info_field(server.info(), "busy_poll"), 1);
+  // A loaded host (other tests running) can keep the worker preempted,
+  // and so backed off, for a while: keep bursting until a poll hits.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (server.stats().poll_hits == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    ASSERT_TRUE(depth1_burst(server.port(), 2000));
+  EXPECT_GT(server.stats().poll_hits, 0)
+      << "no depth-1 request arrived while the worker polled";
+  EXPECT_EQ(info_field(server.info(), "poll_hits"), server.stats().poll_hits);
   server.stop();
 }
 
