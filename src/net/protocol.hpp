@@ -24,7 +24,8 @@
 //   GET <key>         -> :1 present, :0 absent             (contains)
 //   DEL <key>         -> :1 removed, :0 absent             (remove)
 //   SCAN <from> <n>   -> integer array of up to n live keys >= from,
-//                        ascending (ascend; n clamped to kMaxScanCount)
+//                        ascending (ascend; n clamped to kMaxScanCount;
+//                        walks <= 4n + 2*shards keys, none for n = 0)
 //   INFO              -> bulk string of "key:value" lines (server ledger)
 //
 // Hard limits (violations are protocol errors; the server replies -ERR
@@ -47,8 +48,11 @@ namespace pragmalist::net::protocol {
 inline constexpr std::size_t kMaxArgs = 8;
 inline constexpr std::size_t kMaxBulk = 4096;
 inline constexpr std::size_t kMaxFrame = 16 * 1024;
-/// SCAN page ceiling: a single request cannot ask the server to walk
-/// (and buffer) more than this many keys.
+/// SCAN page ceiling: a single request returns at most this many keys,
+/// and walks (and buffers) at most 4 * kMaxScanCount + 2 * shards of
+/// them -- a sharded set's merge pages each shard by its share of the
+/// count (shard/sharded_set.hpp; ShardedScan.BoundedAscendFetchesItsShare
+/// enforces the bound).
 inline constexpr long kMaxScanCount = 4096;
 
 enum class ParseStatus {

@@ -78,6 +78,11 @@ class ShardedSet {
     // whole scan), under HP each page re-anchors per step as usual.
     // Keys are unique across shards (the partition routes each key to
     // exactly one shard), so the merge needs no duplicate handling.
+    //
+    // The cursors and their page buffers belong to the handle (one
+    // worker's) and are reused, so a scan allocates nothing beyond its
+    // output. A sink may run point ops on this handle but must not
+    // start another scan on it (checked).
     long range_scan(long lo, long hi, const core::KeySink& sink) {
       return core::counted_range_scan(*this, scan_ctr_, lo, hi, sink);
     }
@@ -90,6 +95,11 @@ class ShardedSet {
                   const core::KeySink& sink) {
       return merge_scan(from, hi, limit, sink);
     }
+
+    /// Keys this handle's scans have fetched from shards (the sum of
+    /// every page's length), emitted or not. Handle-local, not on
+    /// ISetHandle: it prices the merge, it is not an op ledger.
+    long keys_fetched() const { return fetched_; }
 
     core::OpCounters counters() const {
       // Point ops live in the per-shard engine ledgers; scans are
@@ -134,69 +144,113 @@ class ShardedSet {
     friend class ShardedSet;
     explicit Handle(ShardedSet* set)
         : set_(set),
-          rh_(std::make_unique<ReclaimHandle>(set->domain_->make_handle())) {
+          rh_(std::make_unique<ReclaimHandle>(set->domain_->make_handle())),
+          cursors_(set->shards_.size()),
+          heads_(set->shards_.size()),
+          ids_(set->shards_.size()) {
       handles_.reserve(set->shards_.size());
       for (auto& engine : set->shards_)
         handles_.push_back(engine->make_handle(*rh_));
     }
 
-    /// Keys per scan_raw page. Large enough that refills are rare on
+    /// Largest scan_raw page. Large enough that refills are rare on
     /// realistic widths, small enough that a page (one EBR pin) never
-    /// pins the epoch for long.
+    /// pins the epoch for long. Unbounded scans use it for every page;
+    /// bounded ones start at twice their even share of the limit and
+    /// double per refill up to it (see merge_scan).
     static constexpr long kScanPage = 64;
 
     struct ShardCursor {
-      std::vector<long> page;
+      std::vector<long> page;  // reused across scans (capacity sticks)
       std::size_t idx = 0;
       long next_from = 0;
+      long want = 0;  // length of the page requested last
       bool drained = false;  // shard has nothing further in range
     };
 
-    void refill(std::size_t s, ShardCursor& c, long hi) {
+    /// Fetches shard s's next page of at most `want` keys; false when
+    /// the page came back empty.
+    bool refill(std::size_t s, long hi) {
+      ShardCursor& c = cursors_[s];
       c.page.clear();
       c.idx = 0;
-      handles_[s].scan_raw(c.next_from, hi, kScanPage,
-                           [&](long k) { c.page.push_back(k); });
+      handles_[s].scan_raw(c.next_from, hi, c.want,
+                           [&c](long k) { c.page.push_back(k); });
+      fetched_ += static_cast<long>(c.page.size());
       // A short page means the shard's range is exhausted; a full page
       // ending on hi must not advance past it (hi may be LONG_MAX).
-      if (c.page.size() < static_cast<std::size_t>(kScanPage) ||
+      if (c.page.size() < static_cast<std::size_t>(c.want) ||
           c.page.back() >= hi)
         c.drained = true;
       else
         c.next_from = c.page.back() + 1;
+      return !c.page.empty();
     }
 
+    // Page sizing for a bounded scan: each shard's first page is
+    // min(kScanPage, limit, 2 * ceil(limit / shards)), and a refill
+    // doubles the shard's previous page, capped at kScanPage and at
+    // the keys still wanted. A shard fetches page k only after
+    // emitting pages 0..k-1, so it fetches at most 2 x its emitted
+    // keys + its first page: a scan fetches <= 4 * limit + 2 * shards
+    // keys. The live cursors' head keys sit in one flat array (swap-
+    // removed when a cursor runs dry, so no sentinel key is needed:
+    // LONG_MAX is a legal key), and the minimum is a cmov scan.
     long merge_scan(long from, long hi, long limit,
                     const core::KeySink& sink) {
+      if (limit == 0) return 0;
+      PRAGMALIST_CHECK(!scanning_,
+                       "a scan's sink started a scan on the same handle");
+      scanning_ = true;
       const std::size_t n = handles_.size();
-      std::vector<ShardCursor> cursors(n);
+      long first = kScanPage;  // unbounded scans page at full size
+      if (limit > 0) {
+        const long share = (limit - 1) / static_cast<long>(n) + 1;
+        first = std::min({kScanPage, limit, 2 * std::min(share, kScanPage)});
+      }
+      std::size_t live = 0;
       for (std::size_t s = 0; s < n; ++s) {
-        cursors[s].next_from = from;
-        refill(s, cursors[s], hi);
+        cursors_[s].next_from = from;
+        cursors_[s].want = first;
+        cursors_[s].drained = false;
+        if (refill(s, hi)) {
+          heads_[live] = cursors_[s].page[0];
+          ids_[live++] = s;
+        }
       }
       long emitted = 0;
-      while (limit < 0 || emitted < limit) {
-        // Linear min across the cursor heads: shard counts are small
+      while (live > 0) {
+        // Linear min across the heads: shard counts are small
         // (typically <= 16), so a heap would cost more than it saves.
-        std::size_t best = n;
-        for (std::size_t s = 0; s < n; ++s) {
-          const ShardCursor& c = cursors[s];
-          if (c.idx >= c.page.size()) continue;
-          if (best == n ||
-              c.page[c.idx] < cursors[best].page[cursors[best].idx])
-            best = s;
+        std::size_t b = 0;
+        long min = heads_[0];
+        for (std::size_t j = 1; j < live; ++j) {
+          const bool lt = heads_[j] < min;
+          b = lt ? j : b;
+          min = lt ? heads_[j] : min;
         }
-        if (best == n) break;  // every cursor drained
-        ShardCursor& c = cursors[best];
-        sink(c.page[c.idx]);
-        ++emitted;
-        // Refill only if more output is still wanted: when the
-        // limit-th key was a page's last entry, a fresh page (a whole
-        // scan_raw walk, one EBR pin) would be fetched and discarded.
-        if (++c.idx >= c.page.size() && !c.drained &&
-            (limit < 0 || emitted < limit))
-          refill(best, c, hi);
+        sink(min);
+        // Stop before any refill once the limit-th key is out: a fresh
+        // page (a whole scan_raw walk, one EBR pin) would be discarded.
+        if (++emitted == limit) break;
+        ShardCursor& c = cursors_[ids_[b]];
+        if (++c.idx < c.page.size()) {
+          heads_[b] = c.page[c.idx];
+          continue;
+        }
+        if (!c.drained) {
+          c.want = std::min(2 * c.want, kScanPage);
+          if (limit > 0) c.want = std::min(c.want, limit - emitted);
+          if (refill(ids_[b], hi)) {
+            heads_[b] = c.page[0];
+            continue;
+          }
+        }
+        --live;
+        heads_[b] = heads_[live];
+        ids_[b] = ids_[live];
       }
+      scanning_ = false;
       return emitted;
     }
 
@@ -207,6 +261,12 @@ class ShardedSet {
     std::unique_ptr<ReclaimHandle> rh_;
     std::vector<typename Engine::Handle> handles_;
     core::OpCounters scan_ctr_;  // whole-set scan ledger (see counters)
+    // Merge scratch, one slot per shard, reused by every scan.
+    std::vector<ShardCursor> cursors_;
+    std::vector<long> heads_;        // live cursors' head keys
+    std::vector<std::size_t> ids_;   // their shard indices
+    long fetched_ = 0;               // see keys_fetched()
+    bool scanning_ = false;          // a merge_scan is running
   };
 
   explicit ShardedSet(int shards,

@@ -244,8 +244,10 @@ History record_history(core::ISet& set, std::uint64_t seed) {
 }
 
 /// Like record_history but with a scan share: 35/35/10/20
-/// add/remove/contains/scan over kKeys, scan widths 1-3. The sink also
-/// checks the emission contract (ascending, in range) on the spot.
+/// add/remove/contains/scan over kKeys. Half the scans are range_scan
+/// windows of width 1-3, half are ascend(key, 1..3) pages, each mapped
+/// to the window it read. Emissions are checked against the contract
+/// (ascending, in range) on the spot.
 History record_scan_history(core::ISet& set, std::uint64_t seed) {
   History hist(kThreads);
   std::atomic<long> clock{0};
@@ -265,18 +267,35 @@ History record_scan_history(core::ISet& set, std::uint64_t seed) {
                     : roll < 80 ? kContains
                                 : kScan;
           if (op.kind == kScan) {
-            op.hi = std::min<long>(kKeys - 1,
-                                   op.key + static_cast<long>(rng.below(3)));
+            const bool bounded = rng.below(2) == 0;
+            const long width = 1 + static_cast<long>(rng.below(3));
             long last = std::numeric_limits<long>::min();
             unsigned observed = 0;
-            op.inv = clock.fetch_add(1);
-            h->range_scan(op.key, op.hi, [&](long k) {
-              EXPECT_TRUE(k >= op.key && k <= op.hi && k > last)
+            const auto observe = [&](long k, long hi) {
+              EXPECT_TRUE(k >= op.key && k <= hi && k > last)
                   << "scan emitted " << k << " out of order or range";
               last = k;
               observed |= 1u << k;
-            });
-            op.res = clock.fetch_add(1);
+            };
+            if (bounded) {
+              // The paging form (the sharded bounded merge SCAN uses):
+              // a full page read [from, its last key]; a short one
+              // read everything from `from` up.
+              op.inv = clock.fetch_add(1);
+              const std::vector<long> page =
+                  h->ascend(op.key, static_cast<std::size_t>(width));
+              op.res = clock.fetch_add(1);
+              for (const long k : page) observe(k, kKeys - 1);
+              op.hi = page.size() == static_cast<std::size_t>(width)
+                          ? page.back()
+                          : kKeys - 1;
+            } else {
+              op.hi = std::min<long>(kKeys - 1, op.key + width - 1);
+              op.inv = clock.fetch_add(1);
+              h->range_scan(op.key, op.hi,
+                            [&](long k) { observe(k, op.hi); });
+              op.res = clock.fetch_add(1);
+            }
             op.observed = observed;
             op.ok = true;
             ops.push_back(op);
@@ -556,7 +575,8 @@ TEST_P(EveryPragmaticCombo, ConcurrentHistoriesAreLinearizable) {
 // explainable, with every scan's keys linearizing as atomic reads
 // inside the scan's window -- for every pragmatic variant under
 // arena/EBR/HP and the whole sharded sh4 grid (where a scan is a k-way
-// merge over shards sharing one reclamation domain).
+// merge over shards sharing one reclamation domain, and a bounded
+// ascend takes the share-sized paging path that SCAN uses).
 TEST_P(EveryPragmaticCombo, ScanHistoriesAreLinearizable) {
   for (std::uint64_t seed = 60; seed < 65; ++seed) {
     auto set = harness::make_set(GetParam());

@@ -1,9 +1,10 @@
 // Tier-1 semantics for the range-scan API: range_scan()/ascend() vs a
 // std::set oracle over every catalog id (including hash-sharded sets,
 // whose scans are k-way merges and must come back globally sorted),
-// the paging contract, the scans/scan_calls counter ledger, and the
-// quiescent identity full-range scan == snapshot(). Concurrency is the
-// stress tier's job (test_linearizability, test_reclaim_churn).
+// the sharded merge's fetch bound, the paging contract, the
+// scans/scan_calls counter ledger, and the quiescent identity
+// full-range scan == snapshot(). Concurrency is the stress tier's job
+// (test_linearizability, test_reclaim_churn).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +14,11 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/variants.hpp"
 #include "src/harness/catalog.hpp"
+#include "src/net/protocol.hpp"
+#include "src/reclaim/ebr.hpp"
+#include "src/shard/sharded_set.hpp"
 #include "src/workload/rng.hpp"
 #include "tests/test_util.hpp"
 
@@ -188,6 +193,139 @@ TEST(ShardedScan, MergeInterleavesShardsGloballySorted) {
     from = page.back() + 1;
   }
   EXPECT_EQ(paged, sharded->snapshot());
+}
+
+using EbrShards = shard::ShardedSet<core::SinglyListWith<reclaim::Ebr>>;
+
+/// Keys the shards handed to one ascend(from, limit) call.
+long fetched_by_ascend(EbrShards::Handle& h, long from, std::size_t limit,
+                       std::vector<long>* out = nullptr) {
+  const long before = h.keys_fetched();
+  std::vector<long> page = h.ascend(from, limit);
+  if (out != nullptr) *out = std::move(page);
+  return h.keys_fetched() - before;
+}
+
+/// The stated fetch bound of a bounded sharded scan.
+long fetch_bound(std::size_t limit, int shards) {
+  return 4 * static_cast<long>(limit) + 2 * shards;
+}
+
+// A bounded scan fetches about what it returns: each shard's first
+// page is twice its even share of the limit, and refills double from
+// there, so a dense sh8 page of 64 costs ~2x its keys (a full 64-key
+// page from every shard would be 8x), every scan stays within
+// 4 * limit + 2 * shards -- also at the protocol's kMaxScanCount --
+// and a zero-limit scan fetches nothing.
+TEST(ShardedScan, BoundedAscendFetchesItsShare) {
+  constexpr long kDense = 4096;
+  constexpr std::size_t kLimit = 64;
+  const std::uint64_t seed = test::env_seed(17);
+  test::ReproOnFailure repro(seed);
+  workload::Rng rng(seed);
+  {
+    EbrShards set(8);
+    auto h = set.make_handle();
+    for (long k = 0; k < kDense; ++k) ASSERT_TRUE(h.add(k));
+    long emitted = 0;
+    long fetched = 0;
+    std::vector<long> page;
+    for (int i = 0; i < 1000; ++i) {
+      fetched += fetched_by_ascend(
+          h, static_cast<long>(rng.below(kDense - kLimit)), kLimit, &page);
+      emitted += static_cast<long>(page.size());
+    }
+    ASSERT_EQ(emitted, 1000 * static_cast<long>(kLimit));
+    EXPECT_LE(fetched * 2, emitted * 5)
+        << "sh8 fetched " << fetched << " keys to emit " << emitted;
+  }
+  {
+    constexpr int kShards = 256;
+    EbrShards set(kShards);
+    auto h = set.make_handle();
+    for (long k = 0; k < kDense; ++k) ASSERT_TRUE(h.add(k));
+    for (int i = 0; i < 200; ++i) {
+      const long from = static_cast<long>(rng.below(kDense));
+      EXPECT_LE(fetched_by_ascend(h, from, kLimit),
+                fetch_bound(kLimit, kShards))
+          << "ascend(" << from << ", " << kLimit << ")";
+    }
+    const auto max_count =
+        static_cast<std::size_t>(net::protocol::kMaxScanCount);
+    for (const long from : {-1L, kDense / 3}) {
+      EXPECT_LE(fetched_by_ascend(h, from, max_count),
+                fetch_bound(max_count, kShards))
+          << "ascend(" << from << ", kMaxScanCount)";
+    }
+    std::vector<long> page{-1};
+    EXPECT_EQ(fetched_by_ascend(h, 0, 0, &page), 0);
+    EXPECT_TRUE(page.empty());
+  }
+}
+
+// Bounded ascend against the unsharded list at every edge of the page
+// sizing: limits around the shard count (the share's rounding), around
+// kScanPage, and far past the key count; keys that all hash to one
+// shard (that shard's cursor refills with doubling pages while the
+// others run dry); and the extreme legal keys, so exhaustion can never
+// hide behind a LONG_MAX sentinel.
+TEST(ShardedScan, BoundedAscendMatchesOracleAtEveryLimit) {
+  constexpr long kMin = std::numeric_limits<long>::min();
+  constexpr long kMax = std::numeric_limits<long>::max();
+  for (const int shards : {1, 3, 8, 16}) {
+    const auto n = static_cast<std::size_t>(shards);
+    std::vector<long> dense(300);
+    for (long k = 0; k < 300; ++k) dense[static_cast<std::size_t>(k)] = k;
+    std::vector<long> one_shard;
+    for (long k = 0; one_shard.size() < 300; ++k)
+      if (shard::shard_of(k, n) == 0) one_shard.push_back(k);
+    const std::vector<long> extremes = {kMin + 1, kMin + 2, -7, 0,   5,
+                                        64,       999,      kMax - 1, kMax};
+    for (const auto* keys : std::initializer_list<const std::vector<long>*>{
+             &dense, &one_shard, &extremes}) {
+      EbrShards set(shards);
+      auto oracle = harness::make_set("singly");
+      auto sh = set.make_handle();
+      auto oh = oracle->make_handle();
+      for (const long k : *keys) {
+        ASSERT_TRUE(sh.add(k));
+        ASSERT_TRUE(oh->add(k));
+      }
+      const long mid = (*keys)[keys->size() / 2];
+      for (const long from :
+           {kMin, keys->front(), mid, mid + 1, keys->back(), kMax}) {
+        for (const std::size_t limit :
+             {std::size_t{0}, std::size_t{1}, n - 1, n, n + 1, 2 * n,
+              std::size_t{63}, std::size_t{64}, std::size_t{65},
+              std::size_t{4096}}) {
+          std::vector<long> got;
+          const long fetched = fetched_by_ascend(sh, from, limit, &got);
+          EXPECT_EQ(got, oh->ascend(from, limit))
+              << "sh" << shards << " ascend(" << from << ", " << limit << ")";
+          EXPECT_LE(fetched, fetch_bound(limit, shards))
+              << "sh" << shards << " ascend(" << from << ", " << limit << ")";
+        }
+      }
+    }
+  }
+}
+
+// The merge's cursors are handle-owned scratch: a sink may run point
+// ops on its own handle, but a nested scan would reuse the cursors
+// the running merge is still reading, so it is refused loudly.
+TEST(ShardedScan, ASinkMayNotScanItsOwnHandle) {
+  EbrShards set(4);
+  auto h = set.make_handle();
+  for (long k = 0; k < 32; ++k) ASSERT_TRUE(h.add(k));
+  long seen = 0;
+  h.range_scan(0, 31, [&](long k) {
+    EXPECT_TRUE(h.contains(k));
+    h.add(k + 100);
+    ++seen;
+  });
+  EXPECT_EQ(seen, 32);
+  EXPECT_DEATH(h.range_scan(0, 31, [&](long) { h.ascend(0, 1); }),
+               "started a scan on the same handle");
 }
 
 }  // namespace
