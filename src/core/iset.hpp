@@ -29,12 +29,12 @@ namespace pragmalist::core {
 /// hint index and from the handle's own cursor (the two candidates
 /// core::start::tighter composes; a start both proposed counts for
 /// both), restarts counts lost anchors -- a traversal pass abandoned
-/// and resumed (lost insert CASes, lost draconic helping CASes -- plain
-/// search sweep losses are draconic-only, since mild arena/EBR ops
-/// never sweep outside their own update CAS -- and HP anchor
-/// revalidation failures). The starvation tier asserts restarts
-/// stays proportional to ops -- bounded retries -- and bench_latency
-/// prints hints and restarts per cell.
+/// and resumed (lost insert CASes, lost draconic helping CASes -- mild
+/// ops never sweep outside their own update CAS -- lost unrolled
+/// run-swing CASes, and HP anchor revalidation failures). The
+/// starvation tier asserts restarts stays proportional to ops --
+/// bounded retries -- and bench_latency prints hints and restarts per
+/// cell.
 struct OpCounters {
   long adds = 0;
   long rems = 0;
@@ -84,8 +84,8 @@ struct OpCounters {
 //   contains (mild,
 //     singly/doubly)  CAS-free, restart-free   CAS-free, bounded-restart
 //   contains
-//     (draconic)      helps unlink: CAS +      same, anchored walk
-//                     restart on lost CAS
+//     (draconic)      helps unlink: CAS +      same; a lost anchor also
+//                     restart from the head    restarts from the head
 //   contains
 //     (unrolled)      CAS-free; miss confirm   CAS-free walks; same
 //                     may re-route (version    version re-route loop
@@ -93,12 +93,12 @@ struct OpCounters {
 //                     under continuous resize
 //   range_scan/ascend CAS-free, restart-free   CAS-free, bounded-restart
 //     (singly/doubly) (one pass)               (resume past last emitted)
-//   add (mild,        decided (present): no CAS;  lock-free, anchored
-//     singly/doubly)  else one CAS that links    walk sweeps as it goes
-//                     and sweeps; a lost CAS
-//                     resumes from prev
-//   remove (mild,     decided (absent): no CAS;  lock-free, bounded-
-//     singly/doubly)  else mark + one unlink     restart (anchored walk)
+//   add (mild,        decided (present): no CAS;  same bodies; the walk is
+//     singly/doubly)  else one CAS that links    bounded-restart (a lost
+//                     and sweeps; a lost CAS     anchor resumes from the
+//                     resumes from prev          last live one)
+//   remove (mild,     decided (absent): no CAS;  same bodies, bounded-
+//     singly/doubly)  else mark + one unlink     restart walk
 //                     CAS that also sweeps;
 //                     restart-free (only a
 //                     CAS-mark can retry)
@@ -107,7 +107,7 @@ struct OpCounters {
 //     unrolled)       walk
 //
 // The arena/EBR mild `contains` column is the paper's claim made
-// enforceable: ListFamily::locate (every one-key row, back pointers or
+// enforceable: core::locate (every one-key row, back pointers or
 // not) issues no CAS and never loops back -- the engines export
 // kContainsCasFree / kContainsRestartFree / kRemoveRestartFree and
 // variants.hpp static_asserts the whole grid, so a regression that

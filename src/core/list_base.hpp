@@ -181,33 +181,16 @@ class AllocRegistry {
   std::atomic<std::size_t> count_{0};
 };
 
-/// The anchored-validation hazard-pointer traversal shared by the list
-/// engines (used whenever the reclamation policy sets kHazards).
-///
-/// Plain hazard pointers are incompatible with traversals that step
-/// over marked nodes (Michael, TPDS'04): a marked node's next pointer
-/// is frozen, so re-reading it can never reveal that its successor was
-/// swept out and freed. The walk instead revalidates against the *run
-/// anchor*: `prev` is the last live node (slot kAnchor) and `left_next`
-/// the first node of the dead run hanging off it. Any sweep that
-/// detaches -- and hence retires -- any node of that run must CAS
-/// `prev->next` away from `left_next` (marked nexts are frozen; the
-/// anchor cell is the run's only mutable attachment point). So after
-/// publishing a hazard on the next node, one re-read of `prev->next`
-/// suffices: still `left_next`-and-unmarked means nothing in the run
-/// was retired before the hazard became visible; anything else
-/// restarts. For the address compare to be meaningful, `left_next`
-/// itself must stay hazard-protected for the whole run (slot kRun):
-/// an unprotected run head could be freed and its address recycled by
-/// a fresh insert, making both the anchor re-read and the final sweep
-/// CAS succeed against a different, live node (ABA).
+/// Hazard-pointer slot roles and the persistent-cursor protocol, shared
+/// by the list engines whenever the reclamation policy sets kHazards.
+/// The slots are what make locate() below sound under HP; its header
+/// carries the argument.
 namespace hazard {
 
 // Slot roles (reclaim::Hp::kSlots >= 4):
 inline constexpr int kAnchor = 0;  // last live predecessor `prev`
-inline constexpr int kWalk = 1;    // the node the walk stands on
-inline constexpr int kRun = 2;     // current dead run's head; reused as
-                                   // the back-pointer refresh's succ pin
+inline constexpr int kWalk = 1;    // the node the walk stands on, `cur`
+inline constexpr int kRun = 2;     // current dead run's head, `left_next`
 inline constexpr int kCursor = 3;  // per-handle cursor, held across ops
 
 // The persistent kCursor cell is a per-*thread* resource: under a
@@ -248,70 +231,101 @@ void publish_cursor(ReclaimHandle& rh, const void* owner, Node* n) {
   }
 }
 
+}  // namespace hazard
+
+/// Where locate() leaves an operation.
 template <typename Node>
 struct WalkPos {
-  Node* prev;  // protected via kAnchor, prev->next observed == cur
-               // (kMutate) or == some run reaching cur (read-only)
-  Node* cur;   // protected via kWalk; first live node with key >=
-               // target, or nullptr
+  Node* prev;       // seen live with prev->next == left_next
+  Node* left_next;  // first node of the dead run [left_next, cur), or cur
+  Node* cur;        // first live node with key >= target, or nullptr
 };
 
-/// Walk toward `key` from start_node(). kMutate: guarantee physical
-/// adjacency prev->next == cur on return, sweeping the dead run with
-/// one CAS if needed and invoking on_swept(prev, first, last) on
-/// success (the caller retires the detached [first..last) -- purging
-/// any hint-index slots first -- and refreshes back hints there; the
-/// draconic inline unlink routes through the same hook with a
-/// one-node run, so the caller's purge-before-retire rule covers it
-/// too). Read-only (!kMutate): never CAS; cur may sit behind a dead
-/// run. on_dead_start() runs when the start node died under the walk
-/// (the caller drops its cursor); start_node() is then expected to
-/// fall back to the head.
+/// The one forward point-op walk. Both engines position every point
+/// op with it, under every reclaimer (the unrolled engine's fat nodes
+/// route by their anchor, stored in the field named `key`). From
+/// `start` toward `key` it returns {prev, left_next, cur}:
+///   * cur is the first live node with key >= `key`, or nullptr;
+///   * prev was seen live with prev->next == left_next;
+///   * every node of [left_next, cur) was seen marked, so its next is
+///     frozen.
+/// One CAS prev->next: left_next -> x therefore detaches the whole dead
+/// run together with whatever the caller links or unlinks, and the
+/// thread whose CAS won retires the run (the single-detacher argument,
+/// docs/ARCHITECTURE.md "Update path"). The walk never sweeps: the run
+/// is left to the caller's one CAS, so an op the walk decides writes
+/// nothing. The draconic traversal (Michael-style) instead never
+/// steps over a marked node: it unlinks it inline and hands the
+/// one-node run to on_swept(first, last) -- the caller purges and
+/// retires it there -- so its left_next is always cur.
 ///
-/// Bounded restart: a lost anchor (failed revalidation or sweep CAS)
-/// no longer abandons the whole walk. `prev` is still kAnchor-
-/// protected, so if it is still unmarked the next pass resumes from
-/// it -- the validated prefix of the key space is never re-walked,
-/// which is what turns an HP read's worst case from "restart from the
-/// head unboundedly" into "local retry at the contention point". Only
-/// a *dead* resume point decays to start_node() (cursor/hint/head).
-/// Every lost anchor bumps *restarts when the caller passes a counter
-/// (surfaced as OpCounters::restarts).
-template <Traversal kTraversal, Backoff kBackoff, bool kMutate,
-          typename Node, typename ReclaimHandle, typename StartFn,
-          typename DeadStartFn, typename SweptFn>
-WalkPos<Node> anchored_walk(ReclaimHandle& rh, long key, StartFn&& start_node,
-                            DeadStartFn&& on_dead_start, SweptFn&& on_swept,
-                            long* restarts = nullptr) {
+/// A start found dead is replaced by dead_start(start), the engine's
+/// fallback (the head, or a back-hint hop). A lost pass bumps *restarts
+/// (when non-null) and goes again; where it goes depends on the
+/// traversal, not the reclaimer. A draconic walk loses a pass to a
+/// lost helping CAS and starts over from the head (Michael's rule,
+/// paper row a). A mild walk loses one only to a failed anchor
+/// revalidation under hazards and resumes at `prev`, the last live
+/// anchor, still kAnchor-protected -- the validated prefix of the key
+/// space is never re-walked, and a dead resume point falls to
+/// dead_start(). Off hazards the mild walk has no restart path at all.
+///
+/// Hazard pointers (kHazards). Plain HP is incompatible with traversals
+/// that step over marked nodes (Michael, TPDS'04): a marked node's next
+/// is frozen, so re-reading it can never reveal that its successor was
+/// swept out and freed. The walk instead revalidates against the *run
+/// anchor*: prev is the last live node (kAnchor) and left_next the
+/// first node of the dead run hanging off it. Any CAS that detaches --
+/// and hence retires -- any node of that run must swing prev->next away
+/// from left_next (marked nexts are frozen; the anchor cell is the
+/// run's only mutable attachment point). So after publishing a hazard
+/// on the next node (kWalk), one re-read of prev->next suffices: still
+/// left_next and unmarked means nothing in the run was retired before
+/// the hazard became visible. For the address compare to mean
+/// anything, left_next itself stays protected for the whole run (kRun):
+/// an unprotected run head could be freed and its address recycled by
+/// a fresh insert, making both the re-read and the caller's CAS succeed
+/// against a different, live node (ABA).
+///
+/// On return prev is in kAnchor, cur in kWalk, and left_next in kRun
+/// whenever it differs from cur, so the caller's CAS prev->next:
+/// left_next -> x is ABA-safe. These pins must survive from the walk's
+/// return until that CAS: between the two a caller may reuse a slot
+/// only if the CAS does not need what it holds. The one such reuse is
+/// the Back::kPrecise remove's pin on the victim's successor `succ`,
+/// which its back-hint refresh writes after the CAS. When left_next !=
+/// cur the pin takes kWalk: cur, the marked victim, is not dereferenced
+/// between the mark and the CAS, and after a won CAS the detached run
+/// [left_next, succ) belongs to this thread alone, so nobody else can
+/// retire any of it. When left_next == cur, kWalk holds the CAS's
+/// expected value and the pin takes the idle kRun instead. Pinning succ
+/// in kRun unconditionally would re-open the ABA hole kRun closes.
+template <Traversal kTraversal, Backoff kBackoff, bool kHazards,
+          typename Node, typename ReclaimHandle, typename DeadStartFn,
+          typename SweptFn>
+WalkPos<Node> locate([[maybe_unused]] ReclaimHandle& rh, Node* head,
+                     Node* start, long key, DeadStartFn&& dead_start,
+                     [[maybe_unused]] SweptFn&& on_swept, long* restarts) {
   Backoffer bo;
-  Node* resume = nullptr;  // last validated anchor, still in kAnchor
   for (;;) {
-    const bool resumed = resume != nullptr;
-    Node* prev;
-    if (resumed) {
-      prev = resume;  // kAnchor already covers it
-      resume = nullptr;
-    } else {
-      prev = start_node();  // head, or a cursor/hint covered elsewhere
-      rh.protect(kAnchor, prev);
-    }
+    Node* prev = start;
+    if constexpr (kHazards) rh.protect(hazard::kAnchor, prev);
     const auto pv = prev->next.load();
-    if (pv.marked) {
-      if (resumed) continue;  // dead resume anchor: decay to start_node
-      on_dead_start();  // cursor start died between its check and here
+    if (pv.marked) {  // the start died since its check
+      start = dead_start(prev);
       continue;
     }
     Node* left_next = pv.ptr;
     Node* cur = left_next;
-    bool restart = false;
+    bool lost = false;
     while (cur != nullptr) {
-      rh.protect(kWalk, cur);
-      {
+      if constexpr (kHazards) {
+        rh.protect(hazard::kWalk, cur);
         // Anchor revalidation: run still attached => cur not retired
         // before the hazard above became visible.
         const auto av = prev->next.load();
         if (av.marked || av.ptr != left_next) {
-          restart = true;
+          lost = true;
           break;
         }
       }
@@ -319,55 +333,36 @@ WalkPos<Node> anchored_walk(ReclaimHandle& rh, long key, StartFn&& start_node,
       if (cv.marked) {
         if constexpr (kTraversal == Traversal::kDraconic) {
           // Never step over a dead node: unlink it now or start over.
-          // left_next == cur here, so the CAS expectation is covered
-          // by the kWalk hazard. The detached one-node run goes
-          // through on_swept like any other, so the caller's
-          // purge-before-retire discipline holds here too.
-          if (prev->next.cas_clean(cur, cv.ptr)) {
-            on_swept(prev, cur, cv.ptr);
-            left_next = cv.ptr;
-            cur = cv.ptr;
-            continue;
+          // left_next == cur here, so under HP kWalk covers the CAS
+          // expectation.
+          if (!prev->next.cas_clean(cur, cv.ptr)) {
+            lost = true;
+            break;
           }
-          restart = true;
-          break;
+          on_swept(cur, cv.ptr);
+          left_next = cur = cv.ptr;
         } else {
-          // Entering a run: pin its head for the run's duration (see
-          // file comment -- the anchor compare and the sweep CAS are
-          // ABA-unsafe otherwise). Gapless: kWalk still covers
-          // cur == left_next at this point.
-          if (cur == left_next) rh.protect(kRun, cur);
-          cur = cv.ptr;  // pragmatic: walk through; validated at the top
-          continue;
+          // Entering a run: pin its head until the caller's CAS.
+          // Gapless: kWalk still covers cur == left_next here.
+          if constexpr (kHazards) {
+            if (cur == left_next) rh.protect(hazard::kRun, cur);
+          }
+          cur = cv.ptr;  // pragmatic: just walk through it
         }
+        continue;
       }
       if (cur->key >= key) break;
       prev = cur;
-      rh.protect(kAnchor, cur);  // kWalk still covers cur
-      left_next = cv.ptr;
-      cur = cv.ptr;
+      // Gapless: kWalk still covers cur while kAnchor takes it over.
+      if constexpr (kHazards) rh.protect(hazard::kAnchor, cur);
+      left_next = cur = cv.ptr;
     }
-    if (!restart) {
-      if (left_next == cur) return {prev, cur};
-      if constexpr (!kMutate) {
-        return {prev, cur};
-      } else {
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          on_swept(prev, left_next, cur);
-          return {prev, cur};
-        }
-      }
-    }
-    // Lost the anchor (revalidation or sweep CAS). prev stays kAnchor-
-    // protected, so resume there next pass if it is still live.
+    if (!lost) return {prev, left_next, cur};
     if (restarts != nullptr) ++*restarts;
-    resume = prev;
     if constexpr (kBackoff == Backoff::kExponential) bo.pause();
+    start = kTraversal == Traversal::kDraconic ? head : prev;
   }
 }
-
-}  // namespace hazard
 
 /// Traversal-start selection shared by the list engines. Two
 /// independent shortcut mechanisms can propose a start anchor for the
@@ -405,12 +400,12 @@ Node* tighter(Node* head, Node* cursor, Node* hint) {
 ///     scan (the caller's guard): nothing retired after the pin can be
 ///     freed until the scan unpins. Long scans therefore hold the
 ///     reclamation horizon -- the cost bench_scan prices against HP.
-///   * HP     -- hazard_scan: the anchored-validation walk from
-///     anchored_walk(), generalized to emit along the way. Per-step
-///     publish + anchor revalidation, restart from the head on a lost
-///     anchor, resuming *after* the last key already observed (the
-///     restart invariant: no key is emitted twice, and each key of the
-///     range is observed exactly once, at increasing positions).
+///   * HP     -- hazard_scan: locate()'s hazard discipline, generalized
+///     to emit along the way. Per-step publish + anchor revalidation;
+///     a lost anchor resumes from the last live anchor (the head once
+///     it died), emitting only *after* the last key already observed
+///     (the restart invariant: no key is emitted twice, and each key of
+///     the range is observed exactly once, at increasing positions).
 ///
 /// All three skip marked nodes and never CAS: a scan is read-only even
 /// on the draconic variants.
@@ -440,7 +435,7 @@ long plain_scan(const Node* head, long from, long hi, long limit,
 }
 
 /// The hazard-pointer scan protocol. Walks with the anchored-validation
-/// slot discipline of hazard::anchored_walk (kAnchor / kWalk / kRun;
+/// slot discipline of core::locate (kAnchor / kWalk / kRun;
 /// the persistent kCursor cell is never touched, so a scan cannot
 /// disturb the owning engine's cursor). On a failed anchor
 /// revalidation the walk resumes from the last validated anchor while
@@ -499,7 +494,7 @@ long hazard_scan(ReclaimHandle& rh, Node* head, long from, long hi,
       const auto cv = cur->next.load();
       if (cv.marked) {
         // Entering a dead run: pin its head for the run's duration
-        // (same ABA argument as anchored_walk).
+        // (same ABA argument as locate()).
         if (cur == left_next) rh.protect(hazard::kRun, cur);
         cur = cv.ptr;
         continue;
@@ -522,16 +517,6 @@ long hazard_scan(ReclaimHandle& rh, Node* head, long from, long hi,
     if (restarts != nullptr) ++*restarts;
     resume = prev;
   }
-}
-
-/// Convenience overload: head start, no restart counter (quiescent
-/// helpers and callers without a hint index).
-template <typename Node, typename ReclaimHandle, typename Sink>
-long hazard_scan(ReclaimHandle& rh, Node* head, long from, long hi,
-                 long limit, Sink&& sink) {
-  return hazard_scan(rh, head, from, hi, limit,
-                     static_cast<Sink&&>(sink), [&] { return head; },
-                     nullptr);
 }
 
 }  // namespace scan

@@ -6,12 +6,12 @@
 //     marked node; it must unlink it first and restart from the head
 //     whenever the unlink CAS fails. Readers pay for writers.
 //   Traversal::kMild      -- the paper's pragmatic rule: marked nodes
-//     are simply traversed. Under arena/EBR all three ops share one
-//     CAS-free walk, locate(). contains(), an add of a present key and
-//     a remove of an absent key are decided by that walk and issue no
-//     CAS. An effective update issues exactly one CAS on the list (plus
-//     the remove's mark), and that CAS also swings out the dead run the
-//     walk crossed.
+//     are simply traversed. Under every reclaimer all three ops share
+//     one CAS-free walk, core::locate() (list_base.hpp). contains(), an
+//     add of a present key and a remove of an absent key are decided by
+//     that walk and issue no CAS. An effective update issues exactly one
+//     CAS on the list (plus the remove's mark), and that CAS also swings
+//     out the dead run the walk crossed.
 //   Marking::kCas / kFetchOr -- logical deletion via CAS-retry on the
 //     next pointer vs a single fetch_or of the mark bit (variant e).
 //   Cursor::kPerHandle    -- each handle remembers the last live node
@@ -24,8 +24,8 @@
 //     insert predecessor). Following back pointers from a dead start,
 //     cursor or resume point reaches a live node below the target, so
 //     the walk resumes there instead of at the head. kPrecise also
-//     refreshes the survivor's hint after every sweep, insert and
-//     unlink so it stays one hop tight (ablation id
+//     refreshes the survivor's hint after every insert and unlink so
+//     it stays one hop tight (ablation id
 //     `doubly_cursor_noprec` is kImprecise). The hint is never part of
 //     the membership argument, and it is never cleaned when its target
 //     dies: only the arena's stable addresses let the engine follow
@@ -40,13 +40,14 @@
 //     stamped with the epoch its operation pinned: a node pointer held
 //     across the unpinned gap may be freed, so the next operation
 //     follows it only if it pinned at that same epoch (proof in
-//     ebr.hpp). reclaim::Hp runs the *anchored-validation* traversal
-//     below; cursors survive via a dedicated hazard slot.
+//     ebr.hpp). reclaim::Hp runs the same walk with its anchored-
+//     validation hazard steps compiled in; cursors survive via a
+//     dedicated hazard slot.
 //
-// Hazard traversal is the anchored-validation walk shared via
-// core::hazard::anchored_walk (see list_base.hpp for the safety
-// argument). The pragmatic variants keep their no-CAS contains()
-// under HP -- they pay publish+revalidate per step instead.
+// Under HP the pragmatic variants keep the no-CAS contains() and the
+// one-CAS update path: they pay publish+revalidate per step instead,
+// and a lost revalidation resumes from the last live anchor (see
+// core::locate in list_base.hpp for the safety argument).
 //
 // Instantiations (paper letters): a) DraconicList, b) SinglyList,
 // c) DoublyList, d) SinglyCursorList, e) SinglyFetchOrList,
@@ -121,15 +122,14 @@ class ListFamily {
 
   /// Progress traits, asserted across the grid in variants.hpp (see
   /// the matrix in iset.hpp). The mild variants answer contains()
-  /// without ever issuing a CAS; on top of that, the arena/EBR walk is
+  /// without ever issuing a CAS; on top of that, off hazards the walk is
   /// one forward pass -- locate() has no restart path at all. The same
   /// walk makes the arena/EBR mild remove restart-free: one locate(), the
   /// mark (a fetch_or, or a lock-free CAS-mark loop that restarts
-  /// nothing) and at most one unlink CAS. These are also the rows whose
-  /// add, remove and contains position themselves with locate().
-  /// Draconic readers help unlink (CAS + restart on a lost CAS) by
-  /// design; HP readers are CAS-free but bounded-restart (anchored_walk
-  /// resumes from the last validated anchor).
+  /// nothing) and at most one unlink CAS. HP rows run the same bodies
+  /// but are bounded-restart: a lost anchor revalidation resumes the
+  /// walk from the last validated anchor. Draconic readers help unlink
+  /// (CAS + restart from the head on a lost CAS) by design.
   static constexpr bool kContainsCasFree = kTraversal == Traversal::kMild;
   static constexpr bool kContainsRestartFree =
       kContainsCasFree && !ReclaimPolicy<Node>::kHazards;
@@ -302,11 +302,7 @@ class ListFamily {
 
   static constexpr long kSentinelKey = std::numeric_limits<long>::min();
 
-  struct Pos {
-    Node* prev;       // seen live with prev->next == left_next
-    Node* left_next;  // first node of the dead run [left_next, cur), or cur
-    Node* cur;        // first live node with key >= target, or nullptr
-  };
+  using Pos = WalkPos<Node>;
   static bool hit(const Pos& p, long key) {
     return p.cur != nullptr && p.cur->key == key;
   }
@@ -401,108 +397,27 @@ class ListFamily {
       hint::retire_run(hints_, h.rh_, first, last);
   }
 
-  /// The op's position. Mild arena/EBR rows run locate() from `from`
-  /// -- a node this op saw live, after a lost insert CAS -- or from
-  /// start_node(). The draconic and HP searches sweep as they walk, so
-  /// their left_next is cur; they keep their own restart points and
-  /// ignore `from`.
+  /// The op's position: core::locate() from `from` -- a node this op
+  /// saw live, after a lost insert CAS -- or from start_node(). The
+  /// draconic walk's inline unlinks retire through the same purge-
+  /// before-retire path as an update's run.
   Pos search(Handle& h, long key, Node* from = nullptr) {
-    if constexpr (kRemoveRestartFree)
-      return locate(from != nullptr ? from : start_node(h, key), key);
-    else if constexpr (kHazards)
-      return search_hazard(h, key);
-    else
-      return search_plain(h, key);
-  }
-
-  /// The mild arena/EBR walk behind contains, add and remove: one
-  /// CAS-free forward pass from `start` to the first live node with
-  /// key >= `key`, stepping over marked nodes. No per-step protection
-  /// (arena: stable addresses; EBR: the op's pin). Every node of
-  /// [left_next, cur) was seen marked, so its next is frozen: one CAS
-  /// prev->next: left_next -> x detaches that whole run together with
-  /// whatever the update links or unlinks. prev was seen live, so an
-  /// effective remove always has a live prev for its unlink CAS.
-  Pos locate(Node* start, long key) {
-    auto pv = start->next.load();
-    // The start died since start_node() checked it. Each back hop lands
-    // on a smaller key, so this ends at the head at worst.
-    while (pv.marked) {
-      if constexpr (kHopBack)
-        start = recover(start);
-      else
-        start = head_;  // never marked
-      pv = start->next.load();
-    }
-    Node* prev = start;
-    Node* left_next = pv.ptr;
-    Node* cur = left_next;
-    while (cur != nullptr) {
-      const auto cv = cur->next.load();
-      if (cv.marked) {
-        cur = cv.ptr;  // pragmatic: just walk through it
-        continue;
-      }
-      if (cur->key >= key) break;
-      prev = cur;
-      left_next = cur = cv.ptr;
-    }
-    return {prev, left_next, cur};
-  }
-
-  /// The draconic row's search (Michael-style): never step over a
-  /// marked node -- unlink it or start over from the head -- so on
-  /// return prev->next == cur was observed and there is no dead run.
-  /// Arena/EBR flavor: no per-step protection.
-  Pos search_plain(Handle& h, long key) {
-    static_assert(kTraversal == Traversal::kDraconic,
-                  "mild arena/EBR ops locate() instead");
-    Backoffer bo;
-    Node* start = start_node(h, key);
-    for (;;) {
-      Node* prev = start;
-      const auto pv = prev->next.load();
-      if (pv.marked) {  // the hint start died between check and here
-        start = head_;
-        continue;
-      }
-      Node* cur = pv.ptr;
-      for (;;) {
-        if (cur == nullptr) return {prev, cur, cur};
-        const auto cv = cur->next.load();
-        if (!cv.marked) {
-          if (cur->key >= key) return {prev, cur, cur};
-          prev = cur;
-          cur = cv.ptr;
-        } else if (prev->next.cas_clean(cur, cv.ptr)) {
-          if constexpr (Reclaim::kReclaims) {
-            hints_.purge(cur);
-            h.rh_->retire(cur);
-          }
-          cur = cv.ptr;
-        } else {
-          break;  // lost the helping CAS
-        }
-      }
-      ++h.ctr_.restarts;
-      if constexpr (kBackoff == Backoff::kExponential) bo.pause();
-      start = head_;
-    }
-  }
-
-  /// Hazard-pointer flavor of search: the shared anchored-validation
-  /// walk. Returns with prev held in the anchor slot and cur in the
-  /// walk slot; the caller may dereference both until its next search.
-  Pos search_hazard(Handle& h, long key) {
-    const auto w = hazard::anchored_walk<kTraversal, kBackoff, true, Node>(
-        *h.rh_, key, [&] { return start_node(h, key); },
-        [&] { drop_cursor(h); },
-        [&](Node* prev, Node* first, Node* last) {
-          refresh_back(last, prev);  // last is in kWalk
-          retire_run(h, first, last);
-        },
+    return locate<kTraversal, kBackoff, kHazards>(
+        *h.rh_, head_, from != nullptr ? from : start_node(h, key), key,
+        [&](Node* dead) { return dead_start(h, dead); },
+        [&](Node* first, Node* last) { retire_run(h, first, last); },
         &h.ctr_.restarts);
-    return {w.prev, w.cur, w.cur};
+  }
+
+  /// A walk start that died since its check: drop it if it was the
+  /// cursor, then hop back from it along back hints where addresses
+  /// are stable, else begin at the head (never marked).
+  Node* dead_start(Handle& h, Node* dead) {
+    if (dead == h.cursor_) drop_cursor(h);
+    if constexpr (kHopBack)
+      return recover(dead);
+    else
+      return head_;
   }
 
   /// Logically delete `n`: one fetch_or (variant e) or a CAS-mark loop
@@ -563,15 +478,16 @@ class ListFamily {
         }
         return true;
       }
-      // Lost the insert CAS. The mild arena/EBR rows resume from p.prev
-      // while it is unmarked -- the paper's first observation: the
-      // validated prefix is never re-walked -- instead of a fresh
-      // start_node(), and hop back from it once it died; draconic keeps
-      // Michael's fresh search, and HP its anchored walk.
+      // Lost the insert CAS. The mild rows resume from p.prev (HP:
+      // kAnchor still holds it) -- the paper's first observation: the
+      // validated prefix is never re-walked. Once p.prev died, the
+      // back-pointer rows hop back from it (the walk's dead start) and
+      // the others take a fresh start_node(); draconic keeps Michael's
+      // fresh search.
       ++h.ctr_.restarts;
       if constexpr (kHopBack)
-        from = recover(p.prev);
-      else if constexpr (kRemoveRestartFree)
+        from = p.prev;
+      else if constexpr (kTraversal == Traversal::kMild)
         from = !p.prev->next.load().marked ? p.prev : nullptr;
       if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     }
@@ -589,10 +505,14 @@ class ListFamily {
     maybe_publish(h, p.prev);
     if (!m.won) return false;
     if constexpr (kHazards && kBack == Back::kPrecise) {
-      // Pin succ for the refresh below (kRun is idle between searches):
-      // if the unlink CAS succeeds, succ was still attached when the
-      // hazard became visible, so it cannot have been freed.
-      if (m.succ != nullptr) h.rh_->protect(hazard::kRun, m.succ);
+      // Pin succ for the refresh below: if the unlink CAS succeeds, succ
+      // was still attached when the hazard became visible, so it cannot
+      // have been freed. Never in the slot that holds the CAS's
+      // expected left_next (core::locate's header): kWalk when a run
+      // sits in kRun, else the idle kRun.
+      if (m.succ != nullptr)
+        h.rh_->protect(p.left_next != p.cur ? hazard::kWalk : hazard::kRun,
+                       m.succ);
     }
     // Physical unlink: one CAS detaches the dead run and the victim,
     // [left_next, succ), so this op retires them all. The mild rows
@@ -662,19 +582,16 @@ class ListFamily {
 
   bool do_contains(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if constexpr (kHazards && kTraversal == Traversal::kMild) {
-      return contains_hazard(h, key);
-    } else {
-      // Mild: the fast lane (iset.hpp matrix), one locate() from the
-      // tighter of cursor/hint/head, no CAS, no restart path at all.
-      // Draconic readers help clean up (and pay the restarts for it).
-      const Pos p = search(h, key);
-      if constexpr (kTraversal == Traversal::kMild) {
-        update_cursor(h, p.prev);
-        maybe_publish(h, p.prev);
-      }
-      return hit(p, key);
+    // Mild: the fast lane (iset.hpp matrix), one locate() from the
+    // tighter of cursor/hint/head, no CAS (and off hazards no restart
+    // path at all). Draconic readers help clean up (and pay the
+    // restarts for it).
+    const Pos p = search(h, key);
+    if constexpr (kTraversal == Traversal::kMild) {
+      update_cursor(h, p.prev);  // HP: kAnchor still covers p.prev
+      maybe_publish(h, p.prev);
     }
+    return hit(p, key);
   }
 
   /// The scan primitive behind range_scan()/ascend(): emit live keys
@@ -704,19 +621,6 @@ class ListFamily {
       return scan::plain_scan(g != nullptr ? g : head_, from, hi, limit,
                               sink);
     }
-  }
-
-  /// The mild contains under HP: still CAS-free (read-only walk), but
-  /// every step pays the publish + anchor-revalidation.
-  bool contains_hazard(Handle& h, long key) {
-    const auto w =
-        hazard::anchored_walk<Traversal::kMild, kBackoff, false, Node>(
-            *h.rh_, key, [&] { return start_node(h, key); },
-            [&] { drop_cursor(h); }, [](Node*, Node*, Node*) {},
-            &h.ctr_.restarts);
-    update_cursor(h, w.prev);
-    maybe_publish(h, w.prev);  // kAnchor still covers w.prev
-    return w.cur != nullptr && w.cur->key == key;
   }
 
   std::shared_ptr<Reclaim> domain_;

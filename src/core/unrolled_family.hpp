@@ -11,9 +11,9 @@
 //   * The head is a pure sentinel (anchor LONG_MIN, never holds keys,
 //     never marked). Every other node carries an *immutable anchor*
 //     stored in the field named `key` -- the name is load-bearing: it is
-//     what lets the engine reuse core::hazard::anchored_walk verbatim,
-//     which routes by comparing `cur->key` exactly as the one-key list
-//     engine (ListFamily) does. Anchors are strictly increasing along
+//     what lets the engine route with core::locate(), the one forward
+//     walk it shares with the one-key list engine (ListFamily), which
+//     compares `cur->key`. Anchors are strictly increasing along
 //     the physical chain at all times (splits insert between their
 //     source's and its successor's anchors; fresh nodes insert after
 //     the head, below the first anchor).
@@ -31,7 +31,8 @@
 //   * marked => empty, permanently: a node is marked (under its lock)
 //     exactly when its last key leaves, and a marked node's next is
 //     frozen (core::MarkPtr), so sweeps can detach it with the familiar
-//     one-CAS run swing. Writers' routing walks and scans both sweep.
+//     one-CAS run swing. A writer's read-only routing walk ends in that
+//     one CAS for the run it crossed; scans sweep too.
 //
 // Rebalancing, all under the seqlock(s):
 //   * Split-right at K+1 keys: inserting into a full node keeps the
@@ -89,7 +90,7 @@ class UnrolledFamilyList {
   static_assert(kK >= 4, "fat nodes need room to split and merge");
 
   struct Node {
-    long key;  // immutable anchor; named `key` for anchored_walk reuse
+    long key;  // immutable anchor; named `key` for core::locate reuse
     MarkPtr<Node> next;
     Node* reg_next = nullptr;
     std::atomic<std::uint64_t> version{0};  // seqlock; odd = locked
@@ -376,10 +377,7 @@ class UnrolledFamilyList {
   enum class RemoveMode { kNormal, kAbandon, kLeaky };
   enum class Cov { kOk, kLost };
 
-  struct Pos {
-    Node* prev;  // covering candidate: last unmarked anchor < probe
-    Node* cur;   // first unmarked anchor >= probe, physically adjacent
-  };
+  using Pos = WalkPos<Node>;
 
   /// Version-validated read of one node: (mark, count, cells) coherent
   /// as of some instant inside the call. The mark only changes under
@@ -460,12 +458,15 @@ class UnrolledFamilyList {
       hint::retire_run(hints_, h.rh_, first, last);
   }
 
-  /// Validated hint-index candidate for a walk toward `probe`, or
-  /// nullptr. A validated fat node (unmarked, anchor < probe) is a
+  /// Validated hint-index candidate for a walk toward `probe`, else
+  /// the head. A validated fat node (unmarked, anchor < probe) is a
   /// correct routing start: anchors increase along the chain, so the
   /// covering node sits at or after it.
-  Node* hint_start(Handle& h, long probe) {
-    return hint::start<kHazards>(hints_, h.rh_, probe, h.hint_from_);
+  Node* hinted_start(Handle& h, long probe) {
+    Node* g = hint::start<kHazards>(hints_, h.rh_, probe, h.hint_from_);
+    if (g == nullptr) return head_;
+    ++h.ctr_.hint_hits;
+    return g;  // HP: kAnchor-covered
   }
 
   /// Advertise the covering node (hint::maybe_publish's contract).
@@ -473,95 +474,40 @@ class UnrolledFamilyList {
     hint::maybe_publish(hints_, h.hint_from_, head_, n);
   }
 
-  /// Routing walk toward `probe` with adjacency (prev->next == cur at
-  /// an observed instant; the final dead run swept). Route with
-  /// probe = key + 1 and `prev` is the covering candidate: the last
-  /// unmarked node with anchor <= key.
-  Pos route(Handle& h, long probe) {
-    if constexpr (kHazards) {
-      const auto w =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, true, Node>(
-              *h.rh_, probe,
-              [&] {
-                Node* g = hint_start(h, probe);
-                if (g == nullptr) return head_;
-                ++h.ctr_.hint_hits;
-                return g;  // validated anchor < probe, kAnchor-covered
-              },
-              [] {},
-              [&](Node*, Node* first, Node* last) {
-                retire_run(h, first, last);
-              },
-              &h.ctr_.restarts);
-      return {w.prev, w.cur};
-    } else {
-      Node* start = hint_start(h, probe);
-      if (start == nullptr)
-        start = head_;
-      else
-        ++h.ctr_.hint_hits;
-      for (;;) {
-        Node* prev = start;
-        if (prev != head_ && prev->next.load().marked) {
-          // The start died since its validation. A marked fat node was
-          // emptied, possibly merged *left* -- the covering node may
-          // now sit behind it, so decay to the head, never walk on.
-          start = head_;
-          continue;
-        }
-        Node* left_next = prev->next.load().ptr;
-        Node* cur = left_next;
-        while (cur != nullptr) {
-          const auto cv = cur->next.load();
-          if (cv.marked) {
-            cur = cv.ptr;  // pragmatic: just walk through it
-            continue;
-          }
-          if (cur->key >= probe) break;
-          prev = cur;
-          left_next = cv.ptr;
-          cur = cv.ptr;
-        }
-        if (left_next == cur) return {prev, cur};
-        // Swing the whole dead run [left_next..cur) out in one CAS.
-        if (prev->next.cas_clean(left_next, cur)) {
-          retire_run(h, left_next, cur);
-          return {prev, cur};
-        }
-        // Sweep CAS lost: resume from prev (dereference-safe -- arena
-        // addresses are stable, EBR's pin covers the op) while it
-        // lives; the dead-start check above handles the decay.
-        ++h.ctr_.restarts;
-        start = prev;
+  /// core::locate() toward `probe`: prev is the last unmarked node seen
+  /// with anchor < probe. A dead start falls back to the head, never
+  /// walks on: a marked fat node was emptied, possibly merged *left*,
+  /// so the covering node may now sit behind it.
+  Pos walk(Handle& h, Node* start, long probe) {
+    return locate<Traversal::kMild, Backoff::kNone, kHazards>(
+        *h.rh_, head_, start, probe, [&](Node*) { return head_; },
+        [](Node*, Node*) {}, &h.ctr_.restarts);
+  }
+
+  /// walk(), then swing the dead run [left_next, cur) out with one CAS
+  /// and hand it to dispose(first, last): on return prev->next == cur
+  /// was observed. A lost CAS resumes from prev (HP: still in kAnchor);
+  /// a prev that died meanwhile falls back to the head.
+  template <typename Dispose>
+  Pos swing(Handle& h, Node* start, long probe, Dispose&& dispose) {
+    for (;;) {
+      const Pos p = walk(h, start, probe);
+      if (p.left_next == p.cur) return p;
+      if (p.prev->next.cas_clean(p.left_next, p.cur)) {
+        dispose(p.left_next, p.cur);
+        return {p.prev, p.cur, p.cur};
       }
+      ++h.ctr_.restarts;
+      start = p.prev;
     }
   }
 
-  /// Read-only covering probe for contains: no CAS, no protection
-  /// beyond the caller's (arena addresses are stable, EBR's guard
-  /// covers the op). Returns the last unmarked node observed with
-  /// anchor < probe. A hint start is sound here: all candidates are
-  /// observed unmarked during this op with anchor < probe, and the
-  /// walk's endpoint -- the last such node before the probe -- does
-  /// not depend on where below the probe it began.
-  Node* route_weak(Handle& h, long probe) {
-    Node* prev = hint_start(h, probe);
-    if (prev == nullptr || prev->next.load().marked)
-      prev = head_;
-    else
-      ++h.ctr_.hint_hits;
-    Node* cur = prev->next.load().ptr;
-    while (cur != nullptr) {
-      const auto cv = cur->next.load();
-      if (cv.marked) {
-        cur = cv.ptr;
-        continue;
-      }
-      if (cur->key >= probe) break;
-      prev = cur;
-      cur = cv.ptr;
-    }
-    return prev;
+  /// Routing walk for an update: route with probe = key + 1 and `prev`
+  /// is the covering candidate, the last unmarked node with anchor <=
+  /// key, physically adjacent to cur.
+  Pos route(Handle& h, long probe) {
+    return swing(h, hinted_start(h, probe), probe,
+                 [&](Node* first, Node* last) { retire_run(h, first, last); });
   }
 
   /// Caller holds A's lock, A unmarked. Verify no *unmarked* successor
@@ -589,14 +535,14 @@ class UnrolledFamilyList {
   }
 
   /// Detach-and-dispose walk for a node this thread just emptied and
-  /// marked: route to its anchor so the kMutate sweep swings the run
-  /// containing it. `leak` (kRetireSkipped) sends the victim to the
-  /// domain's leak ledger instead of limbo; every other detached
-  /// corpse retires normally. The victim pointer is only *compared*,
-  /// never dereferenced -- by the time we re-walk it may already be
-  /// someone else's retiree.
+  /// marked: walk from the head to its anchor so the run swing detaches
+  /// the run containing it (or find that someone else did). `leak`
+  /// (kRetireSkipped) sends the victim to the domain's leak ledger
+  /// instead of limbo; every other detached corpse retires normally.
+  /// The victim pointer is only *compared*, never dereferenced -- by
+  /// the time we re-walk it may already be someone else's retiree.
   void sweep_for(Handle& h, long anchor, Node* leak_victim) {
-    auto dispose = [&](Node* first, Node* last) {
+    swing(h, head_, anchor, [&](Node* first, Node* last) {
       if constexpr (Reclaim::kReclaims) {
         Node* n = first;
         while (n != last) {
@@ -609,34 +555,7 @@ class UnrolledFamilyList {
           n = next;
         }
       }
-    };
-    if constexpr (kHazards) {
-      hazard::anchored_walk<Traversal::kMild, Backoff::kNone, true, Node>(
-          *h.rh_, anchor, [&] { return head_; }, [] {},
-          [&](Node*, Node* first, Node* last) { dispose(first, last); });
-    } else {
-      for (;;) {
-        Node* prev = head_;
-        Node* left_next = prev->next.load().ptr;
-        Node* cur = left_next;
-        while (cur != nullptr) {
-          const auto cv = cur->next.load();
-          if (cv.marked) {
-            cur = cv.ptr;
-            continue;
-          }
-          if (cur->key >= anchor) break;
-          prev = cur;
-          left_next = cv.ptr;
-          cur = cv.ptr;
-        }
-        if (left_next == cur) return;  // someone else swept it
-        if (prev->next.cas_clean(left_next, cur)) {
-          dispose(left_next, cur);
-          return;
-        }
-      }
-    }
+    });
   }
 
   /// Caller holds A's lock, A unmarked and underfull. Absorb A's
@@ -852,82 +771,40 @@ class UnrolledFamilyList {
     }
   }
 
+  /// CAS-free contains. A hit in a validated snapshot of an unmarked
+  /// covering node is authoritative. A miss is confirmed only if a
+  /// second walk lands on the *same* node at the *same* version -- the
+  /// cells provably did not change through the second walk's
+  /// observation instant, so the key was absent then. The 64-bit
+  /// version cannot ABA. Both walks may start from a validated hint:
+  /// the endpoint -- the last unmarked node observed with anchor <
+  /// probe -- does not depend on where below the probe a walk began.
+  /// Under HP the snapshot node is pinned in the persistent kCursor
+  /// cell (owner-tagged, the cursor engines' protocol) across the
+  /// second walk, which reuses kAnchor.
   bool do_contains(Handle& h, long key) {
     [[maybe_unused]] auto guard = h.rh_->guard();
     if (key == kHeadAnchor || key == std::numeric_limits<long>::max())
       return false;
-    if constexpr (kHazards)
-      return contains_hazard(h, key);
-    else
-      return contains_plain(h, key);
-  }
-
-  /// CAS-free contains (arena/EBR). A hit in a validated snapshot of
-  /// an unmarked covering node is authoritative. A miss is confirmed
-  /// only if a second route lands on the *same* node at the *same*
-  /// version -- the cells provably did not change through the second
-  /// route's observation instant, so the key was absent then. The
-  /// 64-bit version cannot ABA.
-  bool contains_plain(Handle& h, long key) {
+    const long probe = key + 1;
     for (;;) {
-      Node* a = route_weak(h, key + 1);
+      Node* a = walk(h, hinted_start(h, probe), probe).prev;
       if (a == head_) return false;  // no covering node observed
-      const NodeView v = read_node(a);
+      const NodeView v = read_node(a);  // HP: a is kAnchor-protected
       if (v.marked) {  // emptied under us; re-route
         ++h.ctr_.restarts;
         continue;
       }
       if (view_contains(v, key)) {
-        maybe_publish(h, a);
+        maybe_publish(h, a);  // HP: kAnchor still covers a
         return true;
       }
-      Node* a2 = route_weak(h, key + 1);
-      if (a2 == a &&
-          a->version.load(std::memory_order_acquire) == v.version)
-        return false;
-      ++h.ctr_.restarts;
-    }
-  }
-
-  /// HP contains: anchored read-only walk, snapshot, then pin the
-  /// covering node in the persistent kCursor cell (owner-tagged, the
-  /// cursor engines' protocol) across a second walk. Same-node +
-  /// same-version confirms the miss; the pin keeps the snapshot node
-  /// allocated while the second walk runs.
-  bool contains_hazard(Handle& h, long key) {
-    auto hinted_start = [&] {
-      Node* g = hint_start(h, key + 1);
-      if (g == nullptr) return head_;
-      ++h.ctr_.hint_hits;
-      return g;  // validated anchor < probe, kAnchor-covered
-    };
-    for (;;) {
-      const auto w1 =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, false,
-                                Node>(*h.rh_, key + 1, hinted_start, [] {},
-                                      [](Node*, Node*, Node*) {},
-                                      &h.ctr_.restarts);
-      Node* a = w1.prev;
-      if (a == head_) return false;
-      const NodeView v = read_node(a);  // a is kAnchor-protected
-      if (v.marked) {
-        ++h.ctr_.restarts;
-        continue;
-      }
-      if (view_contains(v, key)) {
-        maybe_publish(h, a);  // kAnchor still covers a
-        return true;
-      }
-      hazard::publish_cursor(*h.rh_, this, a);  // gapless: kAnchor live
-      const auto w2 =
-          hazard::anchored_walk<Traversal::kMild, Backoff::kNone, false,
-                                Node>(*h.rh_, key + 1, hinted_start, [] {},
-                                      [](Node*, Node*, Node*) {},
-                                      &h.ctr_.restarts);
+      if constexpr (kHazards)
+        hazard::publish_cursor(*h.rh_, this, a);  // gapless: kAnchor live
       const bool confirmed =
-          w2.prev == a &&
+          walk(h, hinted_start(h, probe), probe).prev == a &&
           a->version.load(std::memory_order_acquire) == v.version;
-      hazard::release_cursor(*h.rh_, this);
+      if constexpr (kHazards) hazard::release_cursor(*h.rh_, this);
       if (confirmed) return false;
       ++h.ctr_.restarts;
     }

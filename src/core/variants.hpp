@@ -54,12 +54,13 @@ static_assert(!DraconicList::kContainsCasFree &&
                   !DraconicListWith<reclaim::Ebr>::kContainsCasFree &&
                   !DraconicListWith<reclaim::Hp>::kContainsCasFree,
               "draconic readers help unlink: CAS by design");
-// The update path (iset.hpp matrix): a mild arena/EBR remove is one
+// The update path (iset.hpp matrix): every mild remove is one
 // locate(), a mark (one fetch_or, or a lock-free CAS-mark loop that the
-// restart counter does not count) and at most one unlink CAS -- it never
-// restarts.
-// Draconic removes help (restart on a lost helping CAS); HP removes run
-// the bounded-restart anchored walk.
+// restart counter does not count) and at most one unlink CAS, and a
+// decided one issues no CAS at all. Off hazards it never restarts; under
+// HP the same body runs, but its walk resumes from the last live anchor
+// after a lost revalidation (bounded restart). Draconic removes help
+// (restart from the head on a lost helping CAS).
 static_assert(SinglyList::kRemoveRestartFree &&
                   SinglyListEbr::kRemoveRestartFree &&
                   SinglyCursorList::kRemoveRestartFree &&

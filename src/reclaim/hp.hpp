@@ -16,7 +16,7 @@
 //   Engine requirements: the engine must run a hazard traversal --
 //     publish into a slot before every dereference and revalidate
 //     afterwards. Stepping over marked nodes additionally requires the
-//     anchored-validation walk (core::hazard::anchored_walk): plain HP
+//     anchored-validation steps of core::locate(): plain HP
 //     validation cannot detect that a marked node's frozen successor
 //     chain was swept, see list_base.hpp. Per-handle cursors are
 //     supported via a dedicated persistent slot (hazard::kCursor).

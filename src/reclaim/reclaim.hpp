@@ -14,8 +14,8 @@
 //   static constexpr bool kHazards;
 //       Traversals must publish a hazard pointer on every node before
 //       dereferencing it and revalidate reachability afterwards (see
-//       list_base.hpp for the anchored-validation walk). Implies
-//       per-access cost but per-thread bounded garbage.
+//       core::locate in list_base.hpp for the anchored validation).
+//       Implies per-access cost but per-thread bounded garbage.
 //   static constexpr bool kReclaims;
 //       retire() eventually frees nodes mid-run. When true the list
 //       must retire every node it physically detaches and must free the

@@ -147,10 +147,13 @@ INSTANTIATE_TEST_SUITE_P(
                       StarvationCase{"singly/ebr", true, true},
                       StarvationCase{"singly/hp", false, false},
                       StarvationCase{"singly_fetch_or/ebr", true, true},
+                      StarvationCase{"singly_fetch_or/hp", false, false},
                       StarvationCase{"doubly_cursor", true, true},
                       StarvationCase{"doubly_cursor/ebr", true, true},
                       StarvationCase{"doubly_cursor/hp", false, false},
+                      StarvationCase{"draconic", false, false},
                       StarvationCase{"draconic/ebr", false, false},
+                      StarvationCase{"draconic/hp", false, false},
                       StarvationCase{"unrolled_k8/ebr", false, false},
                       StarvationCase{"unrolled_k8/hp", false, false},
                       StarvationCase{"singly/ebr/nohint", true, true}),

@@ -176,13 +176,16 @@ TEST(BackPointerRecovery, OnlyArenaBackPointerRowsKeepTheCursor) {
       0);
 }
 
-// One CAS per effective update, on the mild arena/EBR rows: a remove
-// that crashed after its mark leaves key 5 marked but still linked.
-// Ops whose walk decides the answer -- removing the absent 5, adding
-// the present 6, looking 6 up -- issue no CAS, so they must leave the
-// dead node exactly where it is: nothing detached, nothing retired, no
-// restart. The next effective update at that position, add(5), carries
-// the dead node out inside its own insert CAS and retires it.
+// One CAS per effective update, on the mild rows under every
+// reclaimer: a remove that crashed after its mark leaves key 5 marked
+// but still linked. Ops whose walk decides the answer -- removing the
+// absent 5, adding the present 6, looking 6 up -- issue no CAS, so
+// they must leave the dead node exactly where it is: nothing detached,
+// nothing retired, no restart. The next effective update at that
+// position, add(5), carries the dead node out inside its own insert
+// CAS and retires it. Likewise an effective remove of 8 behind a dead
+// 7 detaches both with its one unlink CAS -- on the HP back-pointer
+// row, the path whose succ pin must leave the run head's slot alone.
 template <typename List>
 void decided_ops_leave_the_dead_node_to_the_next_update() {
   List list;
@@ -209,6 +212,19 @@ void decided_ops_leave_the_dead_node_to_the_next_update() {
   EXPECT_EQ(list.limbo_nodes(), limbo + (List::Reclaim::kReclaims ? 1 : 0));
   EXPECT_EQ(h.counters().restarts, 0);
   EXPECT_EQ(list.snapshot(), (std::vector<long>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+
+  {
+    auto crashed = list.make_handle();
+    crashed.abandon(faults::FaultKind::kMidOpAbandon, 7);
+  }
+  const std::size_t limbo7 = list.limbo_nodes();
+  EXPECT_TRUE(h.remove(8));
+  EXPECT_EQ(list.linked_node_count(), 8u)
+      << "the unlink CAS did not detach the dead node with the victim";
+  EXPECT_EQ(list.limbo_nodes(),
+            limbo7 + (List::Reclaim::kReclaims ? 2 : 0));
+  EXPECT_EQ(h.counters().restarts, 0);
+  EXPECT_EQ(list.snapshot(), (std::vector<long>{0, 1, 2, 3, 4, 5, 6, 9}));
   std::string err;
   EXPECT_TRUE(list.validate(&err)) << err;
 }
@@ -219,6 +235,11 @@ TEST(OneCasPerUpdate, DecidedOpsLeaveTheDeadNodeToTheNextUpdate) {
   decided_ops_leave_the_dead_node_to_the_next_update<
       core::SinglyListWith<reclaim::Ebr>>();
   decided_ops_leave_the_dead_node_to_the_next_update<core::DoublyCursorList>();
+  decided_ops_leave_the_dead_node_to_the_next_update<
+      core::SinglyFetchOrListHp>();
+  decided_ops_leave_the_dead_node_to_the_next_update<core::SinglyListHp>();
+  decided_ops_leave_the_dead_node_to_the_next_update<
+      core::DoublyCursorListHp>();
 }
 
 // A cursor saved in one epoch must never be followed after the epoch

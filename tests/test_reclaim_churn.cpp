@@ -448,12 +448,15 @@ TYPED_TEST(SpanWideningChurn, OldMappingRetireesAreNeverReachedThroughHints) {
 // node is a use-after-poison under ASan on the next validation. After
 // each round the structure validates, the op ledger balances (each key
 // added and removed exactly once) and every allocation is linked, the
-// head, or in limbo.
+// head, or in limbo. The HP rows run the one-CAS update path, whose
+// run-head pin (kRun) must hold from the walk to the CAS: a remove
+// that evicted it for its succ pin could swing a recycled address.
 template <typename List>
 class LockStepDrainChurn : public ::testing::Test {};
 using LockStepDrainLists =
     ::testing::Types<core::SinglyFetchOrListEbr, core::DoublyCursorListHp,
-                     core::UnrolledK8ListEbr>;
+                     core::UnrolledK8ListEbr, core::DoublyListWith<reclaim::Hp>,
+                     core::SinglyFetchOrListHp>;
 TYPED_TEST_SUITE(LockStepDrainChurn, LockStepDrainLists);
 
 TYPED_TEST(LockStepDrainChurn, EveryRoundDrainsToAnExactLedger) {
