@@ -1,21 +1,40 @@
-// Wait-free shortcut-hint index: a fixed array of (key, node*) slots
-// that lets the read path start a traversal at a published node just
-// below the target instead of at the head sentinel.
+// Wait-free shortcut-hint index: tables of (key, node*) slots that let
+// the read path start a traversal at a published node just below the
+// target instead of at the head sentinel. The index re-indexes itself
+// -- more slots, or a new key span -- when the walks it starts get
+// long.
 //
-// Routing is by key *range*, not key hash. The index tracks the
-// observed key span [lo, hi] (publish widens it; it never shrinks) and
-// splits it into kSlots equal buckets; slot b holds a node published
-// into the b-th bucket, at rest the lowest live one (see "Publish on
-// miss" below). best(k) probes bucket(k), then the
-// nearest non-empty buckets below it, found through a 1024-bit
-// occupancy bitmap, so the walk starts at the nearest advertised node
-// below k however sparse the index is (a set of a few hundred keys, or
-// one shard of a sharded set, leaves most of the 1024 buckets empty).
+// Routing is by key *range*, not key hash. The current table splits a
+// key span [lo, hi] into `slots` equal buckets; slot b holds a node
+// published into the b-th bucket, at rest the lowest live one (see
+// "Publish on miss" below). best(k) probes bucket(k), then the nearest
+// non-empty buckets below it, found through the table's occupancy
+// bitmap, so the walk starts at the nearest advertised node below k
+// however sparse the table is (a set of a few hundred keys, or one
+// shard of a sharded set, leaves most of the 1024 buckets empty).
 // bucket(k) is one 64x64->128 multiply by a precomputed
-// 2^64 * kSlots / span scale plus a clamp -- no division on the lookup
-// path. lo, hi and the scale are relaxed atomics: a racing widen can
+// 2^64 * slots / span scale plus a clamp -- no division on the lookup
+// path. lo, hi and the scale are relaxed atomics: a racing writer can
 // hand a reader a torn (lo, scale) pair, which only picks a worse
 // bucket.
+//
+// Tables and generations. A fresh index has one table of kSlots = 1024
+// slots, generation 0, whose span widens to cover every published key
+// (it never shrinks). A *re-index* installs generation g+1 in another
+// table: a larger power-of-two size class when the index is dense, the
+// other table of the same class when only the key span moved. Its span
+// is fixed for the generation: a key outside it routes to an edge
+// bucket and is recorded (seen_lo/seen_hi), and the next re-index takes
+// it in. The new table starts empty and lookups that find nothing in
+// it -- or find only a node far below the key -- fall back to its
+// parent, the table it replaced, which still holds the previous
+// generation's nodes; each op then publishes its walk's
+// end into the new table, moving that node's home out of the parent.
+// So the new generation fills lazily from the old one, as a
+// split-ordered list initialises a bucket from its parent (Shalev &
+// Shavit, JACM 2006). A lookup ignores older generations otherwise: it
+// reads the current table and its parent only, and a reused table is
+// cleared when its new generation is installed.
 //
 // The slot pair is *routing data, never truth*: the key field is a
 // relaxed, possibly-torn copy used only to pick a candidate, and every
@@ -29,81 +48,158 @@
 //
 //   std::atomic<int> hint_slot{-1};
 //
-// its *home slot*. It is -1 until the node's first publish, which sets
-// it once (CAS -1 -> bucket) for the node's lifetime; the node is only
-// ever published into its home. The constructor's -1 is what makes
-// slab reuse safe: a recycled slot is placement-new'ed, and a node is
-// freed only after its purge, so no stale home survives into the next
-// tenant.
+// its *home*: -1, or a token naming one physical slot and the
+// generation it was set in (table id, generation mod 64, slot index,
+// packed in 31 bits; see token()). A node is only ever published into
+// its home. Within one generation a home is for life: a widen that
+// moves n's bucket stops n from being advertised until the next
+// generation. Across generations a home moves: the next publish of n
+// *re-homes* it into the current table (below). The constructor's -1 is
+// what makes slab reuse safe: a recycled slot is placement-new'ed, and
+// a node is freed only after its purge, so no stale home survives into
+// the next tenant. A fresh index's tokens are plain slot numbers
+// (table 0, generation 0).
 //
-// Lifecycle protocol (all slot and home accesses that matter are
-// seq_cst; the safety argument needs the single total order S):
+// Safety. The invariant: a slot X names n only if X is n's home, or
+// some thread that still holds a guard covering n has yet to clear X
+// (a publisher before its re-check, or a re-homer before it clears the
+// home it left). Every slot and home access below is seq_cst, so the
+// single total order S arbitrates each race.
 //
 //   publish(k, n)  -- caller guarantees n is covered by its guard and
-//     was observed unmarked during the current op. Read n's home; if
-//     it is -1, CAS it to bucket(k). If the home is not bucket(k) (the
-//     span widened since n's first publish), return without
-//     publishing. Otherwise store the slot (node seq_cst), then
-//     RE-CHECK n's mark with a no-op RMW (MarkPtr::load_rmw): an RMW
-//     reads the latest value in n->next's modification order, so it
-//     cannot miss a concurrent mark the way a plain load can. If
-//     marked, self-clear the slot (CAS n -> null) while the guard
-//     still covers n.
+//     was observed unmarked during the current op. Read the current
+//     table t and its generation g, then n's home h. If h is not the
+//     slot k routes to in t at g: keep h if it is from t at g (sticky
+//     within a generation), else CAS h -> that slot (first publish:
+//     h = -1; re-home: h from an older generation or table) and, if h
+//     named a slot, clear it of n -- after the home CAS, never before.
+//     Then store the slot (node seq_cst) and RE-CHECK, self-clearing
+//     the slot (CAS n -> null) while the guard still covers n if any
+//     of three changed: n's mark, read with a no-op RMW
+//     (MarkPtr::load_rmw) so it cannot miss a concurrent mark the way
+//     a plain load can; n's home; t's generation.
 //   purge(n)       -- the retiring thread clears n's home slot, if it
 //     still names n, *before* retire(n)/leak(n). O(1): one home read
-//     and at most one slot read. Either the purge's home read sees the
-//     home b (the home CAS <S purge): then for a publish store of n
-//     into b, either store <S the purge's slot load, which sees n (or
-//     a later value, which no longer names n) and clears it, or the
-//     load <S store, so mark <S purge <S store <S re-check and the
-//     publisher self-clears. Or the purge reads -1: then purge <S the
-//     home CAS <S every publish store of n, so again mark <S re-check
-//     and the publisher self-clears. Both ways, no slot names n once
-//     its retirement can free it -- except transiently while some
-//     publisher's guard still pins n alive.
-//   best(k, valid) -- probe bucket(k), then walk the occupancy bitmap
-//     down from it and probe the set bits nearest first. Each slot is
-//     probed and validated at most once, at most kMaxProbes = 18 times
-//     after at most kSlots / 64 = 16 bitmap words, so lookup is
-//     wait-free regardless of concurrent writers. The bitmap is
-//     routing data like the keys: publish sets a slot's bit, the purge
-//     that empties the slot clears it, and a racing pair can leave it
-//     stale either way, which costs one empty probe or hides the slot
-//     until its next publish.
+//     and at most one slot read. Take a store W of n into slot X by
+//     publisher P:
+//       * P's re-check fails: P clears X under its guard.
+//       * P's re-check passes and a re-home R later moves n's home
+//         away from X: R's home CAS comes after P's home re-read, hence
+//         after W, and R's clear of X after its CAS, so R's clear reads
+//         W (or a later value that no longer names n) and clears it.
+//       * Otherwise the purge reads home X (homes change only by CAS,
+//         and a move away is the case above). Since P's mark RMW read
+//         "unmarked", W <S RMW <S mark <S purge's slot load, so the
+//         purge sees W (or a later value) and clears it.
+//     And a purge that reads home h clears h itself: a publish store
+//     into h after the purge's slot load comes after the mark, so its
+//     re-check sees it and self-clears; a re-home after the purge's
+//     home read stores into its new slot only after the mark, so it
+//     self-clears there too and clears h on the way. Once purge(n) has
+//     returned, no slot names n except transiently while a guard
+//     covering n still holds it.
+//   re-index       -- only ever *clears* slots (a reused table, before
+//     it is installed) and rewrites routing data, so it cannot break
+//     the invariant. A publisher racing it either stored into a table
+//     the re-index does not touch (a growth leaves the old table as
+//     the new one's parent, unchanged), or into the reused table: the
+//     re-index sets that table's generation before it clears it, so
+//     the store either precedes the clear or follows the generation
+//     change and fails the publisher's generation re-check. A node
+//     whose home sits in an old table stays safe there: its purge
+//     clears that slot, and its re-home clears it first. Tables are
+//     freed only with the index, so a reader holding a stale table
+//     pointer reads slots that keep the invariant.
+//   best(k, valid) -- probe bucket(k) of the current table, then walk
+//     the occupancy bitmap down from it and probe the set bits nearest
+//     first; unless that answered from k's bucket or the one below, do
+//     the same in the parent table for a tighter start. Per table each
+//     slot is probed and validated at most once, at most kMaxProbes =
+//     18 times after at most kMaxWords = 16 bitmap words, so lookup is
+//     wait-free regardless of concurrent writers. A refused parent
+//     candidate may have taken the current one's HP cover, so that one
+//     is validated again (slot re-read included) before it is returned.
+//     The bitmap is routing data like the keys: publish sets a slot's
+//     bit, the purge that empties the slot clears it, and a racing pair
+//     can leave it stale either way, which costs one empty probe or
+//     hides the slot until its next publish.
+//
+// Why a validated hint is then safe to dereference, per reclaimer, is
+// the engines' argument (docs/ARCHITECTURE.md "Read path"): an HP
+// reader re-reads the *same physical slot* after its kAnchor publish,
+// and the slot still naming n orders the protection before whichever
+// clear removes n -- the purge (before the retire, so the retirer's
+// hazard scan sees the protection) or a guard holder's clear (before
+// that holder's hazard is released, so a scan that can free n comes
+// after it). An EBR reader pinned late enough to allow the free must
+// have pinned after an epoch advance that happens-after the clear, so
+// it reads the cleared slot. HP's kAnchor re-read is what slot_node()
+// serves: the candidate's token names its physical slot, whichever
+// table it came from.
 //
 // Publish on miss (hint::maybe_publish). An op publishes the node its
 // walk ended at only if its validated start candidate did not come
-// from that node's own bucket. A walk only moves forward, so a start
-// from bucket b that ends in bucket b ended at or above the node the
-// slot already holds: republishing would only raise the slot and write
-// a line every reader of b shares. Otherwise slot b was empty, dead, or
-// held a node not below the key -- above the walk's end -- so the
-// publish lowers it (barring a stale bitmap bit or a widen since the
-// lookup, which cost at most one raise). Each slot therefore
-// converges to the lowest live node of its bucket and is rewritten
-// only after a purge empties it or a lower node appears; a read-mostly
-// op whose slot is settled writes no shared memory at all.
+// from that node's own slot in the current generation. A walk only
+// moves forward, so a start from bucket b that ends in bucket b ended
+// at or above the node the slot already holds: republishing would only
+// raise the slot and write a line every reader of b shares. Otherwise
+// slot b was empty, dead, or held a node not below the key -- above
+// the walk's end -- so the publish lowers it (barring a stale bitmap
+// bit or a widen since the lookup, which cost at most one raise). A
+// start taken from the parent table never matches, so the first ops
+// after a re-index fill the new table. Each slot therefore converges
+// to the lowest live node of its bucket and is rewritten only after a
+// purge empties it or a lower node appears; a read-mostly op whose
+// slot is settled writes no shared memory at all.
 //
-// The safety argument never consults the current key -> slot mapping,
-// only n's home: a widen that moves n's bucket after its first publish
-// stops n from being published again, and purge still clears the one
-// slot n can occupy.
+// When to re-index: on what ops pay. core::locate counts the nodes
+// each walk crosses; a handle folds the counts of the walks that
+// started at the hint in the key's own bucket of the current table --
+// the walks that cross the keys sharing a bucket -- into a window
+// (hint::note_walk), and when its last kWindowWalks such walks averaged
+// more than kTargetWalk nodes it calls reindex(). (Walks from a cursor,
+// the head, a lower bucket or the parent of a table still filling say
+// nothing about how many keys share a bucket.) That surveys the
+// current table's bitmap -- occupied buckets, the lowest and the
+// highest -- and acts only if one of these holds:
+//   * dense: more than three quarters of the buckets of the occupied
+//     range hold a node, so walks are long because buckets hold many
+//     keys (a uniform set fills that share at 1.4 keys a bucket) ->
+//     the next size class (two classes up for walks above 4x the
+//     target), same span;
+//   * narrow: the occupied range is at most a quarter of the table
+//     (the keys left part of the span) -> same size, the occupied span;
+//   * outside: a fixed-span generation saw keys beyond its span by more
+//     than four bucket widths, piled into its edge bucket -> same size,
+//     a span that takes them in, with slack on that side: four times
+//     the overshoot, doubling with each such re-span in a row, up to
+//     the span's width (an edge of a static range first seen late
+//     costs a little slack; keys that keep drifting get room).
+// One CAS on the generation word picks the thread that installs it;
+// the others keep using the current table. A window that saw the
+// generation change is discarded, so every decision is made on walks
+// of the generation it replaces. A static range whose walks stay short,
+// or whose buckets are mostly empty (a shard of a sharded set), never
+// re-indexes.
 //
-// Why a validated hint is then safe to dereference, per reclaimer, is
-// the engines' argument (docs/ARCHITECTURE.md "Read path"): the short
-// version is that an HP reader re-reads the slot *after* its kAnchor
-// publish (protect <S purge <S retire means the retirer's hazard scan
-// sees the protection), and an EBR reader pinned late enough to allow
-// the free must have pinned after an epoch advance that happens-after
-// the purge, so it reads the cleared slot.
+// Memory bound. The index holds at most two tables per size class
+// (kSlots << c slots for c < kClasses) and only ever moves to a larger
+// class, so its slot memory is below four times its current table's
+// and never above kMaxSlotBytes (four tables of kMaxSlots = 2^19
+// slots, 16 bytes a slot plus one occupancy bit: about 34 MB). A class
+// above 0 is entered only when more than three quarters of the
+// occupied range's buckets hold a node.
 //
 // The caller half of the protocol -- validating a candidate, the
-// publish-on-miss rule and contract, purge-before-retire on a detached
-// run -- is the free helpers in namespace hint below, which every
-// engine calls instead of spelling the rules out again.
+// publish-on-miss rule and contract, the walk window, purge-before-
+// retire on a detached run -- is the free helpers in namespace hint
+// below, which every engine calls instead of spelling the rules out
+// again.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -114,11 +210,44 @@ namespace pragmalist::core {
 template <typename Node>
 class HintIndex {
  public:
+  /// Slots of a fresh index; size class c has kSlots << c.
   static constexpr int kSlots = 1024;
-  /// best() probes at most this many slots per lookup.
+  static constexpr int kClasses = 10;
+  static constexpr int kMaxSlots = kSlots << (kClasses - 1);
+  /// best() probes at most this many slots per table it consults...
   static constexpr int kMaxProbes = 18;
+  /// ...after at most this many bitmap words.
+  static constexpr int kMaxWords = kSlots / 64;
+  /// A handle asks for a re-index when its last kWindowWalks walks
+  /// crossed more than kTargetWalk = kTargetNum / kTargetDen nodes on
+  /// average.
+  static constexpr long kWindowWalks = 1024;
+  static constexpr long kTargetNum = 3;
+  static constexpr long kTargetDen = 2;
 
-  explicit HintIndex(bool enabled = true) : enabled_(enabled) {}
+  /// One slot: the advertised node and its routing key.
+  struct Slot {
+    std::atomic<Node*> node{nullptr};
+    std::atomic<long> key{0};
+  };
+  static_assert(sizeof(Slot) <= 16, "a slot is at most two words");
+
+  /// Bytes of a table of `slots` slots: the slots and the bitmap.
+  static constexpr std::size_t table_bytes(int slots) {
+    return static_cast<std::size_t>(slots) * sizeof(Slot) +
+           static_cast<std::size_t>(slots) / 8;
+  }
+  /// The slot-memory bound of one index (file comment).
+  static constexpr std::size_t kMaxSlotBytes = 4 * table_bytes(kMaxSlots);
+
+  explicit HintIndex(bool enabled = true) : enabled_(enabled) {
+    Table* t = new Table(0, kSlots);
+    tables_[0].store(t, std::memory_order_relaxed);
+    cur_.store(t, std::memory_order_release);
+  }
+  ~HintIndex() {
+    for (auto& t : tables_) delete t.load(std::memory_order_relaxed);
+  }
   HintIndex(const HintIndex&) = delete;
   HintIndex& operator=(const HintIndex&) = delete;
 
@@ -127,42 +256,56 @@ class HintIndex {
   /// diff (same binary, same layout, no publish/lookup traffic).
   bool enabled() const { return enabled_; }
 
-  /// Publish (key, n) into key's bucket, widening the span first if
-  /// key falls outside it; a no-op if that bucket is `from` (the slot
-  /// the caller's walk started from, see "Publish on miss") or is not
-  /// n's home (set here on n's first publish). Caller contract: n is
-  /// covered by the caller's reclamation guard for the whole call and
-  /// was observed unmarked during the current operation. See file
-  /// comment for the home and re-check/self-clear rules.
+  /// Publish (key, n) into key's bucket of the current table (a fresh
+  /// index widens its span first if key falls outside it); a no-op if
+  /// that slot is `from` (the slot the caller's walk started from, see
+  /// "Publish on miss") or if n is homed elsewhere in this generation.
+  /// Caller contract: n is covered by the caller's reclamation guard
+  /// for the whole call and was observed unmarked during the current
+  /// operation. See the file comment for the home, re-home and
+  /// re-check/self-clear rules.
   void publish(long key, Node* n, int from = -1) {
     if (!enabled_ || n == nullptr) return;
-    widen(key);
-    const int b = bucket(key);
-    if (b == from) return;
+    Table& t = *cur_.load(std::memory_order_acquire);
+    const unsigned gen = t.gen.load(std::memory_order_seq_cst);
+    if (gen == 0)
+      widen(t, key);
+    else
+      note_outside(t, key);
+    const int b = bucket_in(t, key);
+    const int want = token(t.id, gen, b);
+    if (want == from) return;
     int home = n->hint_slot.load(std::memory_order_seq_cst);
-    // First publish: home n here. On a lost race `home` reads back the
-    // winner's bucket.
-    if (home < 0 && n->hint_slot.compare_exchange_strong(home, b)) home = b;
-    if (home != b) return;
-    keys_[b].store(key, std::memory_order_relaxed);
-    nodes_[b].store(n, std::memory_order_seq_cst);
-    std::atomic<std::uint64_t>& word = occupied_[b / 64];
+    if (home != want) {
+      if (home >= 0 && (home >> kSlotBits) == (want >> kSlotBits)) return;
+      // First publish or re-home. On a lost race `home` reads back the
+      // winner's token and n stays where the winner put it.
+      if (!n->hint_slot.compare_exchange_strong(home, want)) return;
+      if (home >= 0) clear(home, n);  // after the home CAS, never before
+    }
+    Slot& s = t.cells[b];
+    s.key.store(key, std::memory_order_relaxed);
+    s.node.store(n, std::memory_order_seq_cst);
+    std::atomic<std::uint64_t>& word = t.occupied[b / 64];
     const std::uint64_t bit = std::uint64_t{1} << (b % 64);
     if ((word.load(std::memory_order_relaxed) & bit) == 0)
       word.fetch_or(bit, std::memory_order_relaxed);
-    if (n->next.load_rmw().marked) {
-      // n died before (or while) we advertised it: withdraw the hint
-      // ourselves -- the retirer's purge may already have run and
+    if (n->next.load_rmw().marked ||
+        n->hint_slot.load(std::memory_order_seq_cst) != want ||
+        t.gen.load(std::memory_order_seq_cst) != gen) {
+      // n died, moved home, or the table was re-indexed under us:
+      // withdraw the hint ourselves -- the retirer's purge (or the
+      // re-homer's clear, or the re-index's) may already have run and
       // missed our store. The guard still covers n, so the RMW above
       // and this CAS never touch freed memory.
       Node* expected = n;
-      nodes_[b].compare_exchange_strong(expected, nullptr,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed);
+      s.node.compare_exchange_strong(expected, nullptr,
+                                     std::memory_order_seq_cst,
+                                     std::memory_order_relaxed);
     }
   }
 
-  /// Clear n's home slot if it still names n: the only slot any
+  /// Clear n's home slot if it still names n: the only slot a settled
   /// publish of n can have written, so one home read and at most one
   /// slot read. MUST run before every retire(n) / leak(n) of a node
   /// that may ever have been published (engines call it on every
@@ -170,30 +313,292 @@ class HintIndex {
   void purge(Node* n) {
     if (n == nullptr) return;
     const int home = n->hint_slot.load(std::memory_order_seq_cst);
-    if (home < 0) return;
-    std::atomic<Node*>& slot = nodes_[home];
-    if (slot.load(std::memory_order_seq_cst) != n) return;
-    Node* expected = n;
-    if (slot.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed))
-      occupied_[home / 64].fetch_and(~(std::uint64_t{1} << (home % 64)),
-                                     std::memory_order_relaxed);
+    if (home >= 0) clear(home, n);
   }
 
   /// Nearest validated candidate below `key`, or nullptr (start from
   /// the head). `valid(n, slot)` runs the caller's validation -- key/
   /// mark check under its guard; HP callers additionally kAnchor-
   /// protect n and re-read slot_node(slot) == n before dereferencing.
-  /// Probes bucket(key) itself, then walks the occupancy bitmap down
-  /// from it, so the next probes go to the nearest non-empty buckets
-  /// below however sparse the index is. Slots that turn out empty or
-  /// whose routing key is not below `key` are skipped. Every slot is
-  /// probed at most once and at most kMaxProbes in all, after at most
-  /// kSlots / 64 bitmap words, so the lookup is wait-free.
+  /// The last call that returned true names the candidate returned;
+  /// *own (when given) says whether it is the current table's slot of
+  /// key's own bucket.
+  /// Probes bucket(key) of the current table, then walks the occupancy
+  /// bitmap down from it, so the next probes go to the nearest
+  /// non-empty buckets below however sparse the table is. Unless that
+  /// answered from the key's bucket or the one below, the parent table
+  /// is searched the same way for a tighter start: a table still
+  /// filling after a re-index answers from far below, or not at all.
+  /// Slots that turn out empty or whose routing key is not below `key`
+  /// (in the parent: not above the current table's candidate) are
+  /// skipped. Per table, every slot is probed at most once and at most
+  /// kMaxProbes in all, after at most kMaxWords bitmap words, and the
+  /// current table's candidate is re-validated at most once, so the
+  /// lookup is wait-free.
   template <typename Validate>
-  Node* best(long key, Validate&& valid) const {
+  Node* best(long key, Validate&& valid, bool* own = nullptr) const {
+    if (own != nullptr) *own = false;
     if (!enabled_) return nullptr;
+    const Table& t = *cur_.load(std::memory_order_acquire);
+    int tok = -1, at = -1, top = 0;
+    Node* n = lookup(t, key, nullptr, valid, tok, at, top);
+    const Table* parent = t.parent.load(std::memory_order_acquire);
+    if (n != nullptr && at == top && own != nullptr) *own = true;
+    if (parent == nullptr || (n != nullptr && at + 1 >= top)) return n;
+    bool tried = false;
+    const auto tighter = [&](Node* c, int slot) {
+      tried = true;
+      return valid(c, slot);
+    };
+    int parent_tok = -1, parent_at = -1, parent_top = 0;
+    if (Node* p = lookup(*parent, key, n, tighter, parent_tok, parent_at,
+                         parent_top))
+      return p;
+    // A refused try may have taken n's cover (HP's kAnchor cell).
+    if (n != nullptr && tried && !valid(n, tok)) return nullptr;
+    return n;
+  }
+
+  /// Seq_cst re-read of the physical slot `slot` (a token best() passed
+  /// to the validator) for the HP validation handshake: a reader that
+  /// protected n and still sees it here is ordered before whichever
+  /// clear removes n, hence before any free of n.
+  Node* slot_node(int slot) const {
+    const Table* t = tables_[slot_table(slot)].load(std::memory_order_acquire);
+    return t->cells[slot_index(slot)].node.load(std::memory_order_seq_cst);
+  }
+
+  /// The bucket `key` routes to in the current table, in [0, slots()).
+  /// Keys below the span route to 0, keys above it to slots() - 1.
+  int bucket(long key) const {
+    return bucket_in(*cur_.load(std::memory_order_acquire), key);
+  }
+
+  /// Slots of the current table.
+  int slots() const { return cur_.load(std::memory_order_acquire)->slots; }
+
+  /// Re-indexes so far (the current table's generation).
+  unsigned generation() const {
+    return gen_.load(std::memory_order_relaxed) >> 1;
+  }
+
+  /// Bytes of every table the index holds; at most kMaxSlotBytes.
+  std::size_t slot_bytes() const {
+    std::size_t bytes = 0;
+    for (const auto& t : tables_) {
+      const Table* p = t.load(std::memory_order_acquire);
+      if (p != nullptr) bytes += table_bytes(p->slots);
+    }
+    return bytes;
+  }
+
+  /// True when `steps` nodes over `walks` walks is above kTargetWalk.
+  static bool too_long(long steps, long walks) {
+    return steps * kTargetDen > walks * kTargetNum;
+  }
+
+  /// Install the next generation if the current table is dense, narrow
+  /// or outrun (file comment, "When to re-index"); a no-op otherwise,
+  /// or when another thread is installing one. `steps / walks` is the
+  /// caller's recent mean walk, which picks the growth step.
+  void reindex(long steps, long walks) {
+    if (!enabled_) return;
+    Table& t = *cur_.load(std::memory_order_acquire);
+    const unsigned gen = t.gen.load(std::memory_order_relaxed);
+    int pop = 0, first = -1, last = -1;
+    for (int w = 0; w < t.slots / 64; ++w) {
+      const std::uint64_t bits = t.occupied[w].load(std::memory_order_relaxed);
+      if (bits == 0) continue;
+      pop += __builtin_popcountll(bits);
+      if (first < 0) first = w * 64 + __builtin_ctzll(bits);
+      last = w * 64 + 63 - __builtin_clzll(bits);
+    }
+    if (pop == 0) return;
+    const long range = last - first + 1;
+    const int cls = class_of(t);
+    // Keys published outside a fixed span pile into its edge bucket:
+    // they drift once they overshoot it by more than four bucket widths
+    // (generation 0 widens instead).
+    const long span_lo = t.lo.load(std::memory_order_relaxed);
+    const long span_hi = t.hi.load(std::memory_order_relaxed);
+    const long seen_lo = t.seen_lo.load(std::memory_order_relaxed);
+    const long seen_hi = t.seen_hi.load(std::memory_order_relaxed);
+    const std::uint64_t widths =
+        4 * (span_of(span_lo, span_hi) / static_cast<std::uint64_t>(t.slots) +
+             1);
+    const std::uint64_t under = span_of(seen_lo, span_lo);
+    const std::uint64_t over = span_of(span_hi, seen_hi);
+    const bool below = under > widths;
+    const bool above = over > widths;
+    const bool narrow = range * 4 <= t.slots;
+    const bool dense = !narrow && pop * 4 > range * 3 && cls + 1 < kClasses;
+    if (!below && !above && !narrow && !dense) return;
+    unsigned claim = gen * 2;
+    if (!gen_.compare_exchange_strong(claim, claim + 1)) return;
+
+    // The new span: the occupied buckets and every key seen outside the
+    // span, plus slack on a side the keys overshot: four times the
+    // overshoot, doubling with each re-span in a row that chases the
+    // keys, up to the span's width -- an edge of a static range first
+    // seen late costs a little slack, keys that keep drifting get room
+    // to drift in.
+    long lo = bucket_start(t, first);
+    long hi = last + 1 < t.slots ? bucket_start(t, last + 1) - 1 : span_hi;
+    if (seen_lo < span_lo) lo = std::min(lo, seen_lo);
+    if (seen_hi > span_hi) hi = std::max(hi, seen_hi);
+    const std::uint64_t width = span_of(lo, hi);
+    const int shift = std::min(2 + t.drift, 20);
+    if (above) hi = raise(hi, std::min(width, over << shift));
+    if (below) lo = lower(lo, std::min(width, under << shift));
+    int next_cls = cls;
+    if (dense)
+      next_cls = std::min(kClasses - 1,
+                          cls + (too_long(steps, 4 * walks) ? 2 : 1));
+    Table& next = table_for(next_cls, t, gen + 1);
+    next.drift = below || above ? t.drift + 1 : 0;
+    next.lo.store(lo, std::memory_order_relaxed);
+    next.hi.store(hi, std::memory_order_relaxed);
+    next.seen_lo.store(lo, std::memory_order_relaxed);
+    next.seen_hi.store(hi, std::memory_order_relaxed);
+    next.scale.store(scale_for(lo, hi, next.slots), std::memory_order_relaxed);
+    next.parent.store(&t, std::memory_order_release);
+    cur_.store(&next, std::memory_order_seq_cst);
+    gen_.store((gen + 1) * 2, std::memory_order_release);
+  }
+
+ private:
+  __extension__ typedef unsigned __int128 U128;
+
+  // Token layout: generation mod 64 | table id | slot index.
+  static constexpr int kSlotBits = 20;
+  static constexpr int kTableBits = 5;
+  static constexpr unsigned kGenMask = 63;
+  static_assert(kMaxSlots <= (1 << kSlotBits), "slot index fits");
+  static_assert(2 * kClasses <= (1 << kTableBits), "table id fits");
+
+  static int token(int table, unsigned gen, int slot) {
+    return static_cast<int>(((gen & kGenMask) << (kSlotBits + kTableBits)) |
+                            (static_cast<unsigned>(table) << kSlotBits) |
+                            static_cast<unsigned>(slot));
+  }
+  static int slot_table(int tok) {
+    return (tok >> kSlotBits) & ((1 << kTableBits) - 1);
+  }
+  static int slot_index(int tok) { return tok & ((1 << kSlotBits) - 1); }
+
+  /// One generation's slots. Table id 2c and 2c + 1 are size class c's
+  /// two tables. The header line is what every lookup reads.
+  struct Table {
+    Table(int table_id, int n)
+        : id(table_id),
+          slots(n),
+          cells(new Slot[static_cast<std::size_t>(n)]),
+          occupied(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
+              n / 64)]()) {}
+    ~Table() {
+      delete[] cells;
+      delete[] occupied;
+    }
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+
+    /// Empty every slot and bit (a reused table, before install; its
+    /// generation is already set, see the file comment).
+    void reset() {
+      for (int b = 0; b < slots; ++b)
+        cells[b].node.store(nullptr, std::memory_order_seq_cst);
+      for (int w = 0; w < slots / 64; ++w)
+        occupied[w].store(0, std::memory_order_relaxed);
+    }
+
+    const int id;
+    const int slots;
+    std::atomic<unsigned> gen{0};
+    // The empty span (lo > hi) routes every key to bucket 0 until the
+    // first publish.
+    std::atomic<long> lo{std::numeric_limits<long>::max()};
+    std::atomic<long> hi{std::numeric_limits<long>::min()};
+    std::atomic<std::uint64_t> scale{0};
+    Slot* const cells;
+    std::atomic<std::uint64_t>* const occupied;  // bit b % 64 of word b / 64
+    std::atomic<const Table*> parent{nullptr};
+    int drift = 0;  // re-spans in a row chasing drifting keys, to here
+    // Keys published outside a fixed span (generations above 0).
+    alignas(64) std::atomic<long> seen_lo{std::numeric_limits<long>::max()};
+    std::atomic<long> seen_hi{std::numeric_limits<long>::min()};
+  };
+
+  static int class_of(const Table& t) { return t.id / 2; }
+
+  /// Size class `cls`'s table for generation `gen`, the one after
+  /// `t`'s: the other table of t's class for a re-span, the class's
+  /// first table for a growth. Made on first use; a reused table gets
+  /// its generation before it is emptied (file comment, "re-index").
+  Table& table_for(int cls, const Table& t, unsigned gen) {
+    const int id = cls == class_of(t) ? t.id ^ 1 : 2 * cls;
+    Table* next = tables_[id].load(std::memory_order_relaxed);
+    if (next == nullptr) {
+      next = new Table(id, kSlots << cls);
+      next->gen.store(gen, std::memory_order_relaxed);
+      tables_[id].store(next, std::memory_order_release);
+    } else {
+      next->gen.store(gen, std::memory_order_seq_cst);
+      next->reset();
+    }
+    return *next;
+  }
+
+  static int bucket_in(const Table& t, long key) {
+    const long lo = t.lo.load(std::memory_order_relaxed);
+    if (key <= lo) return 0;
+    const std::uint64_t off =
+        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(lo);
+    const std::uint64_t b = static_cast<std::uint64_t>(
+        (static_cast<U128>(off) * t.scale.load(std::memory_order_relaxed)) >>
+        64);
+    return b < static_cast<std::uint64_t>(t.slots) ? static_cast<int>(b)
+                                                   : t.slots - 1;
+  }
+
+  /// The least key that routes to bucket b (b in [0, slots)).
+  static long bucket_start(const Table& t, int b) {
+    const long lo = t.lo.load(std::memory_order_relaxed);
+    const std::uint64_t scale = t.scale.load(std::memory_order_relaxed);
+    if (b == 0 || scale == 0) return lo;
+    const U128 off = ((static_cast<U128>(b) << 64) + scale - 1) / scale;
+    return raise(lo, off > std::numeric_limits<std::uint64_t>::max()
+                         ? std::numeric_limits<std::uint64_t>::max()
+                         : static_cast<std::uint64_t>(off));
+  }
+
+  /// hi - lo as an unsigned distance (0 when hi <= lo).
+  static std::uint64_t span_of(long lo, long hi) {
+    return hi > lo ? static_cast<std::uint64_t>(hi) -
+                         static_cast<std::uint64_t>(lo)
+                   : 0;
+  }
+
+  /// key + d and key - d, clamped to long's range.
+  static long raise(long key, std::uint64_t d) {
+    return d >= span_of(key, std::numeric_limits<long>::max())
+               ? std::numeric_limits<long>::max()
+               : static_cast<long>(static_cast<std::uint64_t>(key) + d);
+  }
+  static long lower(long key, std::uint64_t d) {
+    return d >= span_of(std::numeric_limits<long>::min(), key)
+               ? std::numeric_limits<long>::min()
+               : static_cast<long>(static_cast<std::uint64_t>(key) - d);
+  }
+
+  /// best() in one table: the first validated candidate below `key`
+  /// (and above `floor`, when given), its token in `tok` and its bucket
+  /// in `at`; `top` is key's bucket.
+  template <typename Validate>
+  static Node* lookup(const Table& t, long key, const Node* floor,
+                      Validate& valid, int& tok, int& at, int& top) {
+    const int base = token(t.id, t.gen.load(std::memory_order_relaxed), 0);
+    const long low = floor != nullptr ? floor->key : 0;
+    top = bucket_in(t, key);
     const auto probe = [&](int b) -> Node* {
       // The node load must synchronize with the publisher's seq_cst
       // store: validation dereferences plain fields (key, the node's
@@ -201,25 +606,28 @@ class HintIndex {
       // orders them after the node's initialization for a reader that
       // never walked to n. The routing key and the bitmap stay
       // relaxed -- they are never dereferenced, only compared.
-      Node* n = nodes_[b].load(std::memory_order_seq_cst);
-      return n != nullptr &&
-                     keys_[b].load(std::memory_order_relaxed) < key &&
-                     valid(n, b)
-                 ? n
-                 : nullptr;
+      const Slot& s = t.cells[b];
+      Node* n = s.node.load(std::memory_order_seq_cst);
+      if (n == nullptr) return nullptr;
+      const long k = s.key.load(std::memory_order_relaxed);
+      if (!(k < key && (floor == nullptr || k > low)) || !valid(n, base | b))
+        return nullptr;
+      tok = base | b;
+      at = b;
+      return n;
     };
-    const int top = bucket(key);
-    // The key's own bucket first, without the bitmap: in a dense index
+    // The key's own bucket first, without the bitmap: in a dense table
     // it usually answers, and the bitmap's lines are the ones purges
     // write.
     if (Node* n = probe(top)) return n;
     int w = top / 64;
-    std::uint64_t bits = occupied_[w].load(std::memory_order_relaxed) &
+    const int stop = std::max(0, w - kMaxWords + 1);
+    std::uint64_t bits = t.occupied[w].load(std::memory_order_relaxed) &
                          ((std::uint64_t{1} << (top % 64)) - 1);
     for (int probes = 1; probes < kMaxProbes; ++probes) {
       while (bits == 0) {
-        if (w == 0) return nullptr;
-        bits = occupied_[--w].load(std::memory_order_relaxed);
+        if (w == stop) return nullptr;
+        bits = t.occupied[--w].load(std::memory_order_relaxed);
       }
       const int high = 63 - __builtin_clzll(bits);
       bits &= ~(std::uint64_t{1} << high);
@@ -228,75 +636,74 @@ class HintIndex {
     return nullptr;
   }
 
-  /// Seq_cst slot re-read for the HP validation handshake: a reader
-  /// that protected n and still sees it here is ordered before any
-  /// purge of n, hence before the retire that could free it.
-  Node* slot_node(int slot) const {
-    return nodes_[slot].load(std::memory_order_seq_cst);
+  /// Clear slot `tok` if it still names n.
+  void clear(int tok, Node* n) {
+    Table& t = *tables_[slot_table(tok)].load(std::memory_order_acquire);
+    const int b = slot_index(tok);
+    std::atomic<Node*>& slot = t.cells[b].node;
+    if (slot.load(std::memory_order_seq_cst) != n) return;
+    Node* expected = n;
+    if (slot.compare_exchange_strong(expected, nullptr,
+                                     std::memory_order_seq_cst,
+                                     std::memory_order_relaxed))
+      t.occupied[b / 64].fetch_and(~(std::uint64_t{1} << (b % 64)),
+                                   std::memory_order_relaxed);
   }
 
-  /// The slot `key` routes to under the current span, in [0, kSlots).
-  /// Keys below the span route to 0, keys above it to kSlots - 1.
-  int bucket(long key) const {
-    const long lo = lo_.load(std::memory_order_relaxed);
-    if (key <= lo) return 0;
-    const std::uint64_t off =
-        static_cast<std::uint64_t>(key) - static_cast<std::uint64_t>(lo);
-    const std::uint64_t b = static_cast<std::uint64_t>(
-        (static_cast<U128>(off) * scale_.load(std::memory_order_relaxed)) >>
-        64);
-    return b < kSlots ? static_cast<int>(b) : kSlots - 1;
-  }
-
- private:
-  __extension__ typedef unsigned __int128 U128;
-
-  /// floor(2^64 * kSlots / (hi - lo + 1)), saturated: a span of at most
-  /// kSlots keys gives one key per bucket (less the first, which
+  /// floor(2^64 * slots / (hi - lo + 1)), saturated: a span of at most
+  /// `slots` keys gives one key per bucket (less the first, which
   /// shares bucket 0 with the key after it).
-  static std::uint64_t scale_for(long lo, long hi) {
-    const U128 span = static_cast<U128>(static_cast<std::uint64_t>(hi) -
-                                        static_cast<std::uint64_t>(lo)) +
-                      1;
-    const U128 s = (static_cast<U128>(kSlots) << 64) / span;
+  static std::uint64_t scale_for(long lo, long hi, int slots) {
+    const U128 span = static_cast<U128>(span_of(lo, hi)) + 1;
+    const U128 s = (static_cast<U128>(slots) << 64) / span;
     const U128 max = std::numeric_limits<std::uint64_t>::max();
     return static_cast<std::uint64_t>(s < max ? s : max);
   }
 
-  /// Grow [lo, hi] to cover key and recompute the scale. The fast path
-  /// (key already inside) is two relaxed loads. The slow path is
-  /// seq_cst so that the last scale stored matches the final span:
-  /// a widener re-reads lo/hi after its scale store and recomputes if
-  /// another widen landed in between.
-  void widen(long key) {
-    long lo = lo_.load(std::memory_order_relaxed);
-    long hi = hi_.load(std::memory_order_relaxed);
+  /// Generation 0 only: grow [lo, hi] to cover key and recompute the
+  /// scale. The fast path (key already inside) is two relaxed loads.
+  /// The slow path is seq_cst so that the last scale stored matches the
+  /// final span: a widener re-reads lo/hi after its scale store and
+  /// recomputes if another widen landed in between.
+  static void widen(Table& t, long key) {
+    long lo = t.lo.load(std::memory_order_relaxed);
+    long hi = t.hi.load(std::memory_order_relaxed);
     if (lo <= key && key <= hi) return;
-    while (key < lo && !lo_.compare_exchange_weak(lo, key)) {
+    while (key < lo && !t.lo.compare_exchange_weak(lo, key)) {
     }
-    while (key > hi && !hi_.compare_exchange_weak(hi, key)) {
+    while (key > hi && !t.hi.compare_exchange_weak(hi, key)) {
     }
     for (;;) {
-      lo = lo_.load();
-      hi = hi_.load();
-      scale_.store(scale_for(lo, hi));
-      if (lo_.load() == lo && hi_.load() == hi) return;
+      lo = t.lo.load();
+      hi = t.hi.load();
+      t.scale.store(scale_for(lo, hi, t.slots));
+      t.seen_lo.store(lo, std::memory_order_relaxed);
+      t.seen_hi.store(hi, std::memory_order_relaxed);
+      if (t.lo.load() == lo && t.hi.load() == hi) return;
     }
   }
 
-  // Routing state, read by every lookup and written only by a widen:
-  // one line of its own. The empty span (lo > hi) routes every key to
-  // bucket 0 until the first publish.
-  alignas(64) std::atomic<long> lo_{std::numeric_limits<long>::max()};
-  std::atomic<long> hi_{std::numeric_limits<long>::min()};
-  std::atomic<std::uint64_t> scale_{0};
+  /// Fixed-span generations: record a key published outside the span
+  /// for the next re-index. Two relaxed loads when inside.
+  static void note_outside(Table& t, long key) {
+    long s = t.seen_lo.load(std::memory_order_relaxed);
+    while (key < s && !t.seen_lo.compare_exchange_weak(
+                          s, key, std::memory_order_relaxed)) {
+    }
+    s = t.seen_hi.load(std::memory_order_relaxed);
+    while (key > s && !t.seen_hi.compare_exchange_weak(
+                          s, key, std::memory_order_relaxed)) {
+    }
+  }
+
+  // The current table and the generation word (generation << 1 | a
+  // re-index in progress), on a line of their own: every lookup reads
+  // cur_, and only a re-index writes either.
+  alignas(64) std::atomic<Table*> cur_{nullptr};
+  std::atomic<unsigned> gen_{0};
   const bool enabled_;
-  // Node pointers and routing keys in separate arrays (8 KB each): a
-  // probe that finds its slot empty never touches the key line.
-  alignas(64) std::atomic<Node*> nodes_[kSlots] = {};
-  alignas(64) std::atomic<long> keys_[kSlots] = {};
-  // Occupancy bitmap: bit b % 64 of word b / 64 for slot b.
-  alignas(64) std::atomic<std::uint64_t> occupied_[kSlots / 64] = {};
+  // Every table the index made, by id; freed only with the index.
+  std::atomic<Table*> tables_[2 * kClasses] = {};
 };
 
 /// Engine glue for the hint index: the caller contract, once. `rh` is
@@ -306,38 +713,72 @@ namespace hint {
 
 /// Validated candidate for a walk toward `key`, or nullptr; `from` is
 /// set to the slot it came from (-1 with no candidate), for the
-/// publish at the op's end (maybe_publish). Without
+/// publish at the op's end (maybe_publish), and *own (when given) to
+/// whether that is key's own bucket of the current table, for the walk
+/// window (note_walk). Without
 /// hazards (arena/EBR) the check is key/mark only: arena addresses are
 /// stable, and under EBR the caller's pin plus the purge/advance order
 /// keep a slot-visible node allocated. With hazards the candidate is
 /// kAnchor-protected first and the slot re-read seq_cst: still naming
-/// it orders the protection before any purge, hence before the retire
-/// that could free it. Either way the candidate stays covered through
-/// the caller's start-node pick.
+/// it orders the protection before any clear of it, hence before any
+/// free. Either way the candidate stays covered through the caller's
+/// start-node pick.
 template <bool kHazards, typename Node, typename ReclaimRef>
 inline Node* start(const HintIndex<Node>& hints, ReclaimRef& rh, long key,
-                   int& from) {
+                   int& from, bool* own = nullptr) {
   from = -1;
-  return hints.best(key, [&](Node* n, int slot) {
-    if constexpr (kHazards) {
-      rh->protect(hazard::kAnchor, n);
-      if (hints.slot_node(slot) != n) return false;
-    }
-    if (!(n->key < key && !n->next.load().marked)) return false;
-    from = slot;
-    return true;
-  });
+  return hints.best(
+      key,
+      [&](Node* n, int slot) {
+        if constexpr (kHazards) {
+          rh->protect(hazard::kAnchor, n);
+          if (hints.slot_node(slot) != n) return false;
+        }
+        if (!(n->key < key && !n->next.load().marked)) return false;
+        from = slot;
+        return true;
+      },
+      own);
 }
 
 /// Advertise `n`, the node the op's walk ended at, unless `from` (the
 /// slot its start candidate came from, set by start()) is n's own
-/// bucket: publish on miss, see the file comment. Caller contract: n is
+/// slot: publish on miss, see the file comment. Caller contract: n is
 /// covered by the caller's guard (HP: a hazard slot) and was observed
 /// unmarked during this op. The head sentinel is never advertised.
 template <typename Node>
 inline void maybe_publish(HintIndex<Node>& hints, int from, const Node* head,
                           Node* n) {
   if (n != nullptr && n != head) hints.publish(n->key, n, from);
+}
+
+/// A handle's recent walks: nodes crossed, walks counted, and the
+/// generation they ran under.
+struct WalkWindow {
+  long steps = 0;
+  long walks = 0;
+  unsigned gen = 0;
+};
+
+/// Fold one walk of `steps` nodes into the handle's window if it
+/// started at the hint in its key's own bucket of the current table
+/// (`own`, from start()): such a walk crosses the keys that share the
+/// bucket, which is what a re-index divides (a walk from a lower
+/// bucket, or from the parent of a table still filling, also crosses
+/// empty or unfilled buckets). Every kWindowWalks walks, ask for a
+/// re-index if they averaged more than the target under one
+/// generation (a window that saw a re-index is dropped). The hot path
+/// is an add, an increment and a compare.
+template <typename Node>
+inline void note_walk(HintIndex<Node>& hints, WalkWindow& w, bool own,
+                      long steps) {
+  if (!own) return;
+  w.steps += steps;
+  if (++w.walks < HintIndex<Node>::kWindowWalks) return;
+  if (hints.generation() == w.gen &&
+      HintIndex<Node>::too_long(w.steps, w.walks))
+    hints.reindex(w.steps, w.walks);
+  w = {0, 0, hints.generation()};
 }
 
 /// Retire every node of the detached run [first, last), purging each

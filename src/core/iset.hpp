@@ -23,15 +23,18 @@ namespace pragmalist::core {
 /// `scan_calls` counts range_scan()/ascend() invocations (one per call,
 /// like the other *_calls) and `scans` the keys those calls emitted.
 ///
-/// `hint_hits`, `cursor_hits` and `restarts` are progress diagnostics,
-/// not operations, and are deliberately excluded from total_ops():
+/// `hint_hits`, `cursor_hits`, `restarts` and `walk_steps` are progress
+/// diagnostics, not operations, and are deliberately excluded from
+/// total_ops():
 /// hint_hits and cursor_hits count traversal starts taken from the
 /// hint index and from the handle's own cursor (the two candidates
 /// core::start::tighter composes; a start both proposed counts for
 /// both), restarts counts lost anchors -- a traversal pass abandoned
 /// and resumed (lost insert CASes, lost draconic helping CASes -- mild
 /// ops never sweep outside their own update CAS -- lost unrolled
-/// run-swing CASes, and HP anchor revalidation failures). The
+/// run-swing CASes, and HP anchor revalidation failures), and
+/// walk_steps counts the nodes core::locate examined, every pass of
+/// every point-op walk (scans are not walks). The
 /// starvation tier asserts restarts stays proportional to ops --
 /// bounded retries -- and bench_latency prints hints and restarts per
 /// cell.
@@ -47,6 +50,7 @@ struct OpCounters {
   long hint_hits = 0;
   long cursor_hits = 0;
   long restarts = 0;
+  long walk_steps = 0;
 
   long total_ops() const {
     return add_calls + rem_calls + con_calls + scan_calls;
@@ -64,8 +68,18 @@ struct OpCounters {
     hint_hits += o.hint_hits;
     cursor_hits += o.cursor_hits;
     restarts += o.restarts;
+    walk_steps += o.walk_steps;
     return *this;
   }
+};
+
+/// The shape of a set's hint index (src/core/hint_index.hpp): slots in
+/// its current table(s), summed over shards, the largest shard's, and
+/// re-indexes so far, summed. All zero for a structure without one.
+struct HintStats {
+  long slots = 0;
+  long slots_max = 0;
+  long reindexes = 0;
 };
 
 // --- Progress-guarantee matrix (engine x reclaimer x op) -------------
@@ -269,6 +283,10 @@ class ISet {
 
   /// Live keys per shard (quiescent-only; empty when unsharded).
   virtual std::vector<std::size_t> shard_sizes() const { return {}; }
+
+  /// The hint index's slots and re-indexes (HintStats). Safe to call
+  /// while workers run: INFO reports it live.
+  virtual HintStats hint_stats() const { return {}; }
 
   /// Supervisor recovery after worker crashes: release every lease
   /// abandoned via ISetHandle::abandon -- unpin stalled epochs, clear

@@ -260,8 +260,11 @@ struct WalkPos {
 /// retires it there -- so its left_next is always cur.
 ///
 /// A start found dead is replaced by dead_start(start), the engine's
-/// fallback (the head, or a back-hint hop). A lost pass bumps *restarts
-/// (when non-null) and goes again; where it goes depends on the
+/// fallback (the head, or a back-hint hop). *steps (when non-null) gains
+/// the number of nodes the walk examined, over every pass: what the op
+/// paid, and what the hint index's re-index trigger reads
+/// (hint::note_walk). A lost pass bumps *restarts (when non-null) and
+/// goes again; where it goes depends on the
 /// traversal, not the reclaimer. A draconic walk loses a pass to a
 /// lost helping CAS and starts over from the head (Michael's rule,
 /// paper row a). A mild walk loses one only to a failed anchor
@@ -305,8 +308,10 @@ template <Traversal kTraversal, Backoff kBackoff, bool kHazards,
           typename SweptFn>
 WalkPos<Node> locate([[maybe_unused]] ReclaimHandle& rh, Node* head,
                      Node* start, long key, DeadStartFn&& dead_start,
-                     [[maybe_unused]] SweptFn&& on_swept, long* restarts) {
+                     [[maybe_unused]] SweptFn&& on_swept, long* restarts,
+                     long* steps = nullptr) {
   Backoffer bo;
+  long examined = 0;  // stays in a register; stored once at the end
   for (;;) {
     Node* prev = start;
     if constexpr (kHazards) rh.protect(hazard::kAnchor, prev);
@@ -319,6 +324,7 @@ WalkPos<Node> locate([[maybe_unused]] ReclaimHandle& rh, Node* head,
     Node* cur = left_next;
     bool lost = false;
     while (cur != nullptr) {
+      ++examined;
       if constexpr (kHazards) {
         rh.protect(hazard::kWalk, cur);
         // Anchor revalidation: run still attached => cur not retired
@@ -357,7 +363,10 @@ WalkPos<Node> locate([[maybe_unused]] ReclaimHandle& rh, Node* head,
       if constexpr (kHazards) rh.protect(hazard::kAnchor, cur);
       left_next = cur = cv.ptr;
     }
-    if (!lost) return {prev, left_next, cur};
+    if (!lost) {
+      if (steps != nullptr) *steps += examined;
+      return {prev, left_next, cur};
+    }
     if (restarts != nullptr) ++*restarts;
     if constexpr (kBackoff == Backoff::kExponential) bo.pause();
     start = kTraversal == Traversal::kDraconic ? head : prev;

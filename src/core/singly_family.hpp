@@ -188,6 +188,8 @@ class ListFamily {
     Node* cursor_ = nullptr;
     std::uint64_t cursor_stamp_ = 0;  // rh_->cursor_stamp() at cursor_ set
     int hint_from_ = -1;  // slot of the op's hint start (hint::start)
+    hint::WalkWindow walks_;  // recent hinted walks (hint::note_walk)
+    bool hint_own_ = false;   // the last start was the key's own bucket
   };
 
   explicit ListFamily(std::shared_ptr<Reclaim> domain = nullptr,
@@ -262,6 +264,12 @@ class ListFamily {
   /// (head excluded); see quiescent::linked for the ledger it closes.
   std::size_t linked_node_count() const { return quiescent::linked(head_); }
 
+  /// The hint index's current slot count and re-indexes so far (safe
+  /// while workers run).
+  HintStats hint_stats() const {
+    return {hints_.slots(), hints_.slots(), hints_.generation()};
+  }
+
   /// Retired-and-not-yet-freed count (0 under the arena); the soak
   /// harness samples it as the limbo-depth series.
   std::size_t limbo_nodes() const {
@@ -318,7 +326,8 @@ class ListFamily {
 
   /// The hint index's caller glue (hint_index.hpp, namespace hint).
   Node* hint_start(Handle& h, long key) {
-    return hint::start<kHazards>(hints_, h.rh_, key, h.hint_from_);
+    return hint::start<kHazards>(hints_, h.rh_, key, h.hint_from_,
+                                 &h.hint_own_);
   }
   void maybe_publish(Handle& h, Node* n) {
     hint::maybe_publish(hints_, h.hint_from_, head_, n);
@@ -374,7 +383,9 @@ class ListFamily {
     }
     Node* g = hint_start(h, key);
     Node* s = start::tighter(head_, c, g);
-    if (s != head_ && s == g) ++h.ctr_.hint_hits;
+    const bool hinted = s != head_ && s == g;
+    if (hinted) ++h.ctr_.hint_hits;
+    h.hint_own_ = h.hint_own_ && hinted;  // a cursor start is not the hint
     if (s == c) ++h.ctr_.cursor_hits;  // c is never the head
     return s;
   }
@@ -401,12 +412,20 @@ class ListFamily {
   /// saw live, after a lost insert CAS -- or from start_node(). The
   /// draconic walk's inline unlinks retire through the same purge-
   /// before-retire path as an update's run.
+  /// Its length feeds the handle's walk ledger and, when the walk
+  /// started at the hint in key's own bucket, the index's walk window.
   Pos search(Handle& h, long key, Node* from = nullptr) {
-    return locate<kTraversal, kBackoff, kHazards>(
-        *h.rh_, head_, from != nullptr ? from : start_node(h, key), key,
+    Node* start = from != nullptr ? from : start_node(h, key);
+    const bool own = from == nullptr && h.hint_own_;
+    long steps = 0;
+    const Pos p = locate<kTraversal, kBackoff, kHazards>(
+        *h.rh_, head_, start, key,
         [&](Node* dead) { return dead_start(h, dead); },
         [&](Node* first, Node* last) { retire_run(h, first, last); },
-        &h.ctr_.restarts);
+        &h.ctr_.restarts, &steps);
+    h.ctr_.walk_steps += steps;
+    hint::note_walk(hints_, h.walks_, own, steps);
+    return p;
   }
 
   /// A walk start that died since its check: drop it if it was the

@@ -176,6 +176,9 @@ class UnrolledFamilyList {
     UnrolledFamilyList* list_;
     reclaim::MaybeOwned<ReclaimHandle> rh_;
     int hint_from_ = -1;  // slot of the op's hint start (hint::start)
+    hint::WalkWindow walks_;  // recent hinted walks (hint::note_walk)
+    Node* hint_node_ = nullptr;  // the last hinted_start() candidate...
+    bool hint_own_ = false;      // ...from its key's own bucket
   };
 
   explicit UnrolledFamilyList(std::shared_ptr<Reclaim> domain = nullptr,
@@ -322,6 +325,12 @@ class UnrolledFamilyList {
   /// (head excluded); see quiescent::linked for the ledger it closes.
   std::size_t linked_node_count() const { return quiescent::linked(head_); }
 
+  /// The hint index's current slot count and re-indexes so far (safe
+  /// while workers run).
+  HintStats hint_stats() const {
+    return {hints_.slots(), hints_.slots(), hints_.generation()};
+  }
+
   /// Quiescent-only: unmarked fat nodes currently linked (head
   /// sentinel excluded). The split/merge unit tests assert node-count
   /// transitions with this.
@@ -463,7 +472,9 @@ class UnrolledFamilyList {
   /// correct routing start: anchors increase along the chain, so the
   /// covering node sits at or after it.
   Node* hinted_start(Handle& h, long probe) {
-    Node* g = hint::start<kHazards>(hints_, h.rh_, probe, h.hint_from_);
+    Node* g = hint::start<kHazards>(hints_, h.rh_, probe, h.hint_from_,
+                                    &h.hint_own_);
+    h.hint_node_ = g;
     if (g == nullptr) return head_;
     ++h.ctr_.hint_hits;
     return g;  // HP: kAnchor-covered
@@ -478,10 +489,19 @@ class UnrolledFamilyList {
   /// with anchor < probe. A dead start falls back to the head, never
   /// walks on: a marked fat node was emptied, possibly merged *left*,
   /// so the covering node may now sit behind it.
+  /// Its length feeds the handle's walk ledger and, for the first walk
+  /// from a hinted_start() candidate, the index's walk window.
   Pos walk(Handle& h, Node* start, long probe) {
-    return locate<Traversal::kMild, Backoff::kNone, kHazards>(
+    long steps = 0;
+    const Pos p = locate<Traversal::kMild, Backoff::kNone, kHazards>(
         *h.rh_, head_, start, probe, [&](Node*) { return head_; },
-        [](Node*, Node*) {}, &h.ctr_.restarts);
+        [](Node*, Node*) {}, &h.ctr_.restarts, &steps);
+    h.ctr_.walk_steps += steps;
+    if (start == h.hint_node_) {
+      h.hint_node_ = nullptr;
+      hint::note_walk(hints_, h.walks_, h.hint_own_, steps);
+    }
+    return p;
   }
 
   /// walk(), then swing the dead run [left_next, cur) out with one CAS

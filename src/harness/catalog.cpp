@@ -90,6 +90,12 @@ class SetAdapter final : public core::ISet {
     else
       return {};
   }
+  core::HintStats hint_stats() const override {
+    if constexpr (kEngine)
+      return inner_.hint_stats();
+    else
+      return {};
+  }
   int shard_count() const override {
     if constexpr (kSharded)
       return inner_.shard_count();

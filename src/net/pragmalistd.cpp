@@ -99,6 +99,17 @@ int main(int argc, char** argv) {
       "con_calls=%ld scan_calls=%ld\n",
       ledger.total_ops(), ledger.add_calls, ledger.rem_calls,
       ledger.con_calls, ledger.scan_calls);
+  const core::HintStats hints = server.set().hint_stats();
+  const long point_ops =
+      ledger.add_calls + ledger.rem_calls + ledger.con_calls;
+  std::printf(
+      "pragmalistd: walks walk_steps=%ld steps_per_op=%.2f hint_hits=%ld "
+      "hint_slots=%ld hint_slots_max=%ld hint_reindexes=%ld\n",
+      ledger.walk_steps,
+      point_ops > 0 ? static_cast<double>(ledger.walk_steps) /
+                          static_cast<double>(point_ops)
+                    : 0.0,
+      ledger.hint_hits, hints.slots, hints.slots_max, hints.reindexes);
 
   if (cfg.record_latency && server.latency().total_count() > 0) {
     // Kops/s over the whole serving window (start to shutdown signal).

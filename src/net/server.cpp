@@ -562,6 +562,7 @@ std::string Server::info() const {
     poll_hits += w->poll_hits.load(std::memory_order_relaxed);
   }
   const faults::BlastStats blast = set_->blast_stats();
+  const core::HintStats hints = set_->hint_stats();
   std::ostringstream os;
   os << "set:" << cfg_.set_id << "\n"
      << "workers:" << cfg_.workers << "\n"
@@ -588,7 +589,10 @@ std::string Server::info() const {
      << "limbo:" << set_->limbo_nodes() << "\n"
      << "crashed_slots:" << blast.crashed_slots << "\n"
      << "leaked_cells:" << blast.leaked_cells << "\n"
-     << "parked_limbo:" << blast.parked_limbo << "\n";
+     << "parked_limbo:" << blast.parked_limbo << "\n"
+     << "hint_slots:" << hints.slots << "\n"
+     << "hint_slots_max:" << hints.slots_max << "\n"
+     << "hint_reindexes:" << hints.reindexes << "\n";
   return os.str();
 }
 

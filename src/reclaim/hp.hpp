@@ -61,8 +61,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -102,6 +102,8 @@ class Hp {
           d_(o.d_),
           slot_(o.slot_),
           retired_(std::move(o.retired_)),
+          hazards_(std::move(o.hazards_)),
+          keep_(std::move(o.keep_)),
           cache_(std::move(o.cache_)) {
       o.d_ = nullptr;
       o.retired_.clear();
@@ -217,6 +219,10 @@ class Hp {
     Hp* d_;
     int slot_;
     std::vector<Node*> retired_;
+    // scan() scratch, reused pass after pass: the sorted hazard
+    // snapshot, and the survivors, swapped with retired_.
+    std::vector<Node*> hazards_;
+    std::vector<Node*> keep_;
     alloc::ThreadCache<Node> cache_;
   };
 
@@ -350,26 +356,31 @@ class Hp {
       Footprint::add(fp.limbo, adopted);
       shared_.limbo.fetch_sub(adopted, std::memory_order_relaxed);
     }
-    std::unordered_set<Node*> protected_nodes;
+    // The hazard snapshot and the survivors go to per-handle buffers
+    // that keep their capacity, so a pass allocates nothing once warm.
+    std::vector<Node*>& hazards = h.hazards_;
+    hazards.clear();
     for (const auto& slot : slots_) {
       if (!slot.active.load(std::memory_order_acquire)) continue;
       for (const auto& hazard : slot.hp) {
         Node* n = hazard.load(std::memory_order_acquire);
-        if (n != nullptr) protected_nodes.insert(n);
+        if (n != nullptr) hazards.push_back(n);
       }
     }
-    std::vector<Node*> keep;
-    keep.reserve(retired.size());
+    std::sort(hazards.begin(), hazards.end(), std::less<Node*>());
+    std::vector<Node*>& keep = h.keep_;
+    keep.clear();
     std::size_t freed = 0;
     for (Node* n : retired) {
-      if (protected_nodes.count(n) != 0) {
+      if (std::binary_search(hazards.begin(), hazards.end(), n,
+                             std::less<Node*>())) {
         keep.push_back(n);
       } else {
         pool_.destroy(n);
         ++freed;
       }
     }
-    retired = std::move(keep);
+    retired.swap(keep);
     Footprint::add(fp.freed, freed);
     Footprint::sub(fp.limbo, freed);
   }

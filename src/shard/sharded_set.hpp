@@ -362,6 +362,19 @@ class ShardedSet {
     return ops;
   }
 
+  /// Every shard carries its own hint index: slots summed and the
+  /// largest, re-indexes summed. Safe while workers run.
+  core::HintStats hint_stats() const {
+    core::HintStats out;
+    for (const auto& engine : shards_) {
+      const core::HintStats s = engine->hint_stats();
+      out.slots += s.slots;
+      out.slots_max = std::max(out.slots_max, s.slots_max);
+      out.reindexes += s.reindexes;
+    }
+    return out;
+  }
+
   /// Live keys per shard.
   std::vector<std::size_t> shard_sizes() const {
     std::vector<std::size_t> sizes(shards_.size());

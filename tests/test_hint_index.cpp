@@ -2,23 +2,29 @@
 // routing quality in dense and sparse indexes, the bounded wait-free
 // lookup, the per-node home slot and the O(1) purge across a span
 // widen, extreme and negative key spans, the publish self-clear rule,
-// the publish-on-miss rule of the engine glue (namespace hint) and the
-// disabled index. The engines' use of the index is covered by
-// the catalog-wide suites; these pin the index's own contract. The
+// the publish-on-miss rule of the engine glue (namespace hint), the
+// disabled index, and re-indexing: growth on a dense set, re-spans
+// after the keys drift, the slot-memory bound, and the shapes that must
+// never re-index. The engines' use of the index is covered by the
+// catalog-wide suites; these pin the index's own contract. The
 // ASan+UBSan and TSan CI legs run this binary by its `hint` label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <deque>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "src/alloc/slab.hpp"
 #include "src/core/hint_index.hpp"
 #include "src/core/list_base.hpp"
+#include "src/core/variants.hpp"
 #include "src/harness/thread_team.hpp"
 #include "src/shard/shard_map.hpp"
+#include "src/workload/op_mix.hpp"
 #include "src/workload/rng.hpp"
 #include "tests/test_util.hpp"
 
@@ -573,6 +579,292 @@ TEST(HintIndexRouting, RacingWidensSettleOnTheFinalSpan) {
     EXPECT_EQ(idx.bucket(k), ref.bucket(k)) << "key " << k;
   }
   EXPECT_EQ(idx.bucket(hi.load()), kSlots - 1);
+}
+
+
+// --- re-indexing -------------------------------------------------------
+
+/// A single-threaded model of a list under the engine glue: `nodes` are
+/// the live nodes in key order, and a read op takes hint::start's
+/// candidate, walks to the first node >= its key (counting the nodes
+/// examined, as core::locate does), offers the walk's end to
+/// hint::maybe_publish and folds the walk into a hint::WalkWindow. A
+/// removal purges the node before it goes, as the engines' retirement
+/// paths do.
+class ModelList {
+ public:
+  Index idx;
+
+  /// Live nodes at keys first, first + step, ... (n of them).
+  ModelList(long first, long step, long n) {
+    for (long i = 0; i < n; ++i) nodes_.emplace_back(first + i * step);
+  }
+
+  /// One read op toward `key`; returns the nodes its walk examined.
+  long read(long key) {
+    NoHazards rh;
+    int from = -1;
+    bool own = false;
+    TestNode* start = core::hint::start<false>(idx, rh, key, from, &own);
+    const long ge = index_of(key);  // first node >= key
+    const long at = start != nullptr ? index_of(start->key) : -1;
+    const long size = static_cast<long>(nodes_.size());
+    const long steps = std::min(ge, size - 1) - at;
+    TestNode* end = ge > 0 ? &nodes_[static_cast<std::size_t>(ge - 1)] : &head_;
+    core::hint::maybe_publish(idx, from, &head_, end);
+    core::hint::note_walk(idx, window_, own, steps);
+    total_steps_ += steps;
+    ++total_reads_;
+    return steps;
+  }
+
+  /// Slide the window up: the lowest node goes, a new one `step` above
+  /// the highest comes in.
+  void slide(long step) {
+    TestNode& low = nodes_.front();
+    ASSERT_TRUE(low.next.cas_mark(nullptr));
+    idx.purge(&low);
+    const long top = nodes_.back().key;
+    nodes_.pop_front();
+    nodes_.emplace_back(top + step);
+  }
+
+  long lowest() const { return nodes_.front().key; }
+  long highest() const { return nodes_.back().key; }
+
+  /// Mean walk of the reads since the last call.
+  double take_mean_walk() {
+    const double mean = total_reads_ > 0 ? static_cast<double>(total_steps_) /
+                                               static_cast<double>(total_reads_)
+                                         : 0.0;
+    total_steps_ = total_reads_ = 0;
+    return mean;
+  }
+
+  /// The live node just below `key` -- where a walk toward it ends.
+  const TestNode* pred(long key) const {
+    const long ge = index_of(key);
+    return ge > 0 ? &nodes_[static_cast<std::size_t>(ge - 1)] : nullptr;
+  }
+
+ private:
+  long index_of(long key) const {
+    return std::lower_bound(nodes_.begin(), nodes_.end(), key,
+                            [](const TestNode& n, long k) { return n.key < k; }) -
+           nodes_.begin();
+  }
+
+  TestNode head_{kMin};
+  std::deque<TestNode> nodes_;
+  core::hint::WalkWindow window_;
+  long total_steps_ = 0;
+  long total_reads_ = 0;
+};
+
+/// Every lookup toward a key of [lo, hi] starts within one bucket width
+/// of the current table below where its walk ends. Keys in the edge
+/// buckets are skipped: a fixed span routes the keys published beyond
+/// it there until the next re-index takes them in.
+void expect_best_within_one_bucket(const ModelList& m, long lo, long hi) {
+  const long buckets = m.idx.bucket(hi) - m.idx.bucket(lo) + 1;
+  const long width = (hi - lo + 1) / buckets + 1;
+  for (long k = lo; k <= hi; k += 3) {
+    const TestNode* want = m.pred(k);
+    const int b = m.idx.bucket(k);
+    if (want == nullptr || b == 0 || b == m.idx.slots() - 1) continue;
+    const TestNode* got = m.idx.best(k, below(k));
+    ASSERT_NE(got, nullptr) << "key " << k;
+    EXPECT_LE(got->key, want->key) << "key " << k;
+    EXPECT_LE(want->key - got->key, width)
+        << "key " << k << " slots " << m.idx.slots();
+  }
+}
+
+// The list_mix shape: 5000 live keys, every other key of [0, 10000),
+// read at uniform keys. At 1024 slots walks cross ~5 keys a bucket, so
+// the index grows until they are short, then stays put; afterwards
+// every lookup starts within one bucket width of its walk's end.
+TEST(HintIndexReindex, DenseSetGrowsUntilWalksAreShortThenSettles) {
+  const std::uint64_t seed = test::env_seed(26);
+  test::ReproOnFailure repro(seed);
+  ModelList m(0, 2, 5000);
+  workload::Rng rng(seed);
+  for (int op = 0; op < 200000; ++op)
+    m.read(static_cast<long>(rng.below(10000)));
+  const unsigned settled = m.idx.generation();
+  EXPECT_GE(settled, 1u) << "the index never grew";
+  EXPECT_GT(m.idx.slots(), kSlots);
+  m.take_mean_walk();
+  for (int op = 0; op < 100000; ++op)
+    m.read(static_cast<long>(rng.below(10000)));
+  EXPECT_LE(m.take_mean_walk(), 2.0);
+  EXPECT_EQ(m.idx.generation(), settled) << "a settled set re-indexed";
+  expect_best_within_one_bucket(m, 1, 9999);
+}
+
+// A window of 2000 live keys slides up by 100 times its width. Each
+// re-index takes the new key range in, so after the slide walks are as
+// short as on a static window and lookups start within one bucket.
+TEST(HintIndexReindex, DriftingWindowIsFollowed) {
+  constexpr long kWidth = 2000;
+  const std::uint64_t seed = test::env_seed(27);
+  test::ReproOnFailure repro(seed);
+  ModelList m(0, 2, kWidth);
+  workload::Rng rng(seed);
+  const auto read_in_window = [&] {
+    const long span = m.highest() - m.lowest();
+    return m.read(m.lowest() + static_cast<long>(rng.below(
+                                   static_cast<std::uint64_t>(span) + 1)));
+  };
+  for (int op = 0; op < 50000; ++op) read_in_window();
+  m.take_mean_walk();
+  for (int op = 0; op < 50000; ++op) read_in_window();
+  const double fixed = m.take_mean_walk();
+  const unsigned before = m.idx.generation();
+
+  for (long s = 0; s < 100 * kWidth; ++s) {
+    m.slide(2);
+    for (int r = 0; r < 4; ++r) read_in_window();
+  }
+  EXPECT_GT(m.idx.generation(), before + 10) << "the span never moved";
+  m.take_mean_walk();
+  for (int op = 0; op < 50000; ++op) read_in_window();
+  EXPECT_LE(m.take_mean_walk(), 2 * fixed + 0.5)
+      << "static window walked " << fixed;
+  expect_best_within_one_bucket(m, m.lowest() + 1, m.highest());
+}
+
+// A static range whose walks are short -- 1000 keys over 1024 slots --
+// never re-indexes, however long it runs.
+TEST(HintIndexReindex, StaticRangeNeverReindexes) {
+  const std::uint64_t seed = test::env_seed(28);
+  test::ReproOnFailure repro(seed);
+  ModelList m(0, 2, 1000);
+  workload::Rng rng(seed);
+  for (int op = 0; op < 300000; ++op)
+    m.read(static_cast<long>(rng.below(2000)));
+  EXPECT_EQ(m.idx.generation(), 0u);
+  EXPECT_EQ(m.idx.slots(), kSlots);
+}
+
+// The slot-memory bound: an index driven to its largest size class
+// holds at most kMaxSlotBytes, below four times its current table, at
+// every step; at the cap it stops growing.
+TEST(HintIndexReindex, SlotMemoryStaysWithinTheStatedBound) {
+  constexpr long kKeys = Index::kMaxSlots;  // one key per largest-class bucket
+  static_assert(Index::kMaxSlotBytes <= 40u << 20, "the stated ~34 MB bound");
+  std::deque<TestNode> nodes;
+  for (long k = 0; k < kKeys; ++k) nodes.emplace_back(k);
+  Index idx;
+  idx.publish(nodes.front().key, &nodes.front());
+  idx.publish(nodes.back().key, &nodes.back());
+  for (int step = 0; step < 2 * Index::kClasses; ++step) {
+    // Fill every bucket of the current table, then report long walks.
+    const long stride = kKeys / idx.slots();
+    for (long k = 0; k < kKeys; k += stride)
+      idx.publish(k, &nodes[static_cast<std::size_t>(k)]);
+    idx.reindex(/*steps=*/3 * Index::kWindowWalks, Index::kWindowWalks);
+    EXPECT_LE(idx.slot_bytes(), Index::kMaxSlotBytes) << "step " << step;
+    EXPECT_LT(idx.slot_bytes(), 4 * Index::table_bytes(idx.slots()))
+        << "step " << step;
+    EXPECT_LE(idx.slots(), Index::kMaxSlots) << "step " << step;
+  }
+  EXPECT_EQ(idx.slots(), Index::kMaxSlots) << "never reached the cap";
+  const unsigned at_cap = idx.generation();
+  const long stride = kKeys / idx.slots();
+  for (long k = 0; k < kKeys; k += stride)
+    idx.publish(k, &nodes[static_cast<std::size_t>(k)]);
+  idx.reindex(3 * Index::kWindowWalks, Index::kWindowWalks);
+  EXPECT_EQ(idx.generation(), at_cap) << "grew past the cap";
+}
+
+// Across a re-index a node's home moves with it: the next publish
+// re-homes it into the new table and clears the old slot, so purge
+// still finds the one slot that names it.
+TEST(HintIndexReindex, RehomedNodeLeavesNoSlotBehind) {
+  std::deque<TestNode> nodes;
+  for (long k = 0; k < 4 * kSlots; k += 2) nodes.emplace_back(k);
+  Index idx;
+  idx.publish(nodes.front().key, &nodes.front());  // settle the span first
+  idx.publish(nodes.back().key, &nodes.back());
+  for (TestNode& n : nodes) idx.publish(n.key, &n);
+  TestNode n(1001);  // between two published keys
+  idx.publish(n.key, &n);
+  const int home = n.hint_slot.load();
+  ASSERT_EQ(idx.slot_node(home), &n);
+  // Every bucket holds a node: a long-walk report grows the index.
+  idx.reindex(/*steps=*/3 * Index::kWindowWalks, Index::kWindowWalks);
+  ASSERT_EQ(idx.generation(), 1u);
+  ASSERT_EQ(idx.slot_node(home), &n) << "a growth leaves the old table";
+  idx.publish(n.key, &n);
+  const int moved = n.hint_slot.load();
+  EXPECT_NE(moved, home);
+  EXPECT_NE(idx.slot_node(home), &n) << "the old slot still names n";
+  EXPECT_EQ(idx.slot_node(moved), &n);
+  ASSERT_TRUE(n.next.cas_mark(nullptr));
+  idx.purge(&n);
+  EXPECT_NE(idx.slot_node(moved), &n);
+}
+
+// The engine on the list_mix shape, one thread: walk_steps is what
+// locate paid, and once the index has grown a point op walks at most
+// two nodes on average.
+TEST(HintIndexReindex, EngineWalksAtMostTwoNodesPerOpOnTheListMixShape) {
+  const std::uint64_t seed = test::env_seed(30);
+  test::ReproOnFailure repro(seed);
+  core::SinglyFetchOrListEbr list;
+  auto h = list.make_handle();
+  workload::Rng rng(seed);
+  for (long i = 0; i < 5000;)
+    i += h.add(static_cast<long>(rng.below(10000)));
+  const auto run = [&](long ops) {
+    for (long i = 0; i < ops; ++i) {
+      const long key = static_cast<long>(rng.below(10000));
+      switch (workload::kTableMix.pick(rng)) {
+        case workload::OpKind::kAdd: h.add(key); break;
+        case workload::OpKind::kRemove: h.remove(key); break;
+        default: h.contains(key); break;
+      }
+    }
+  };
+  run(200000);
+  const core::HintStats grown = list.hint_stats();
+  EXPECT_GT(grown.slots, kSlots);
+  const core::OpCounters before = h.counters();
+  run(100000);
+  const core::OpCounters after = h.counters();
+  const double per_op =
+      static_cast<double>(after.walk_steps - before.walk_steps) /
+      static_cast<double>(after.total_ops() - before.total_ops());
+  EXPECT_LE(per_op, 2.0);
+  EXPECT_EQ(list.hint_stats().reindexes, grown.reindexes);
+  std::string err;
+  EXPECT_TRUE(list.validate(&err)) << err;
+}
+
+// The paper's same-keys shape in lock step (perfbench's list_retry):
+// four threads add 0..9999, meet, remove them, for several rounds. The
+// per-handle cursors keep walks short, so the index never re-indexes.
+TEST(HintIndexReindex, LockStepSameKeysNeverReindexes) {
+  constexpr int kThreads = 4;
+  constexpr long kKeys = 10000;
+  core::SinglyFetchOrListEbr list;
+  for (int round = 0; round < 4; ++round) {
+    std::atomic<int> added{0};
+    harness::run_team(
+        kThreads,
+        [&](int) {
+          auto h = list.make_handle();
+          for (long k = 0; k < kKeys; ++k) h.add(k);
+          added.fetch_add(1);
+          while (added.load() < kThreads) std::this_thread::yield();
+          for (long k = 0; k < kKeys; ++k) h.remove(k);
+        },
+        /*pin=*/false);
+    ASSERT_EQ(list.size(), 0u) << "round " << round;
+  }
+  EXPECT_EQ(list.hint_stats().reindexes, 0);
+  EXPECT_EQ(list.hint_stats().slots, kSlots);
 }
 
 }  // namespace

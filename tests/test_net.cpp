@@ -616,6 +616,23 @@ long info_field(const std::string& info, const std::string& key) {
   return std::stol(info.substr(at + tag.size() - 1));
 }
 
+// INFO reports the shards' hint indexes live: slots summed and the
+// largest shard's, and re-indexes. A fresh sh8 set holds eight
+// 1024-slot indexes that have never re-indexed.
+TEST(Server, InfoReportsTheShardsHintIndexes) {
+  net::ServerConfig scfg;
+  scfg.port = 0;
+  scfg.workers = 1;
+  net::Server server(scfg);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  const std::string info = server.info();
+  EXPECT_EQ(info_field(info, "hint_slots"), 8 * 1024) << info;
+  EXPECT_EQ(info_field(info, "hint_slots_max"), 1024) << info;
+  EXPECT_EQ(info_field(info, "hint_reindexes"), 0) << info;
+  server.stop();
+}
+
 /// A depth-1 burst on one blocking connection: `ops` GETs of absent
 /// keys, each sent only after the previous reply arrived. A plain
 /// socket loop, so the client turns each reply around in a few

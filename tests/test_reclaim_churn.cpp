@@ -491,6 +491,65 @@ TYPED_TEST(LockStepDrainChurn, EveryRoundDrainsToAnExactLedger) {
   }
 }
 
+// Grow-and-drift churn for the re-indexing hint index: a window of
+// kWindow live keys slides up by twenty times its width while four
+// threads read inside it. The window is denser than 1024 slots route
+// well, so the index grows; then its keys leave each fixed span and it
+// re-spans again and again. Each re-index installs a table while other
+// threads still publish into and purge from the old one, and every
+// node homed in an older generation is re-homed or purged there. Over
+// slab memory a slot left naming a freed node is a use-after-poison
+// under ASan on the next validation; afterwards every allocation is
+// linked, the head, or in limbo.
+template <typename List>
+class GrowAndDriftChurn : public ::testing::Test {};
+using GrowAndDriftLists =
+    ::testing::Types<core::SinglyFetchOrListEbr, core::SinglyFetchOrListHp>;
+TYPED_TEST_SUITE(GrowAndDriftChurn, GrowAndDriftLists);
+
+TYPED_TEST(GrowAndDriftChurn, ReindexesKeepTheNodeLedgerExact) {
+  constexpr long kWindow = 4000;  // live keys; a multiple of kThreads
+  constexpr long kSlides = 20 * kWindow;
+  const std::uint64_t seed = test::env_seed(2600);
+  test::ReproOnFailure repro(seed);
+  TypeParam list(alloc::Mode::kSlab);
+  {
+    auto h = list.make_handle();
+    for (long k = 0; k < kWindow; ++k) ASSERT_TRUE(h.add(k));
+  }
+  std::vector<core::OpCounters> counters(kThreads);
+  harness::run_team(
+      kThreads,
+      [&](int t) {
+        auto h = list.make_handle();
+        workload::Rng rng(workload::thread_seed(seed, t));
+        // Thread t moves the keys = t mod kThreads, so each remove finds
+        // the key its own thread added a window earlier.
+        for (long s = t; s < kSlides; s += kThreads) {
+          h.add(s + kWindow);
+          h.remove(s);
+          for (int r = 0; r < 4; ++r)
+            h.contains(s + static_cast<long>(rng.below(kWindow)));
+        }
+        counters[static_cast<std::size_t>(t)] = h.counters();
+      },
+      /*pin=*/false);
+  core::OpCounters agg;
+  for (const auto& c : counters) agg += c;
+
+  std::string err;
+  ASSERT_TRUE(list.validate(&err)) << err;
+  EXPECT_EQ(agg.adds, kSlides);
+  EXPECT_EQ(agg.rems, kSlides);
+  EXPECT_EQ(static_cast<long>(list.size()), kWindow);
+  EXPECT_EQ(list.allocated_nodes(),
+            list.linked_node_count() + 1 + list.limbo_nodes())
+      << "(the 1 is the head sentinel)";
+  const core::HintStats hints = list.hint_stats();
+  EXPECT_GT(hints.slots, 1024) << "the index never grew";
+  EXPECT_GE(hints.reindexes, 3) << "the index never followed the drift";
+}
+
 // The per-slot footprint ledger (src/reclaim/footprint.hpp): each
 // handle counts its tracks, retires and frees into its own slot, and
 // the orphan pool and crashed leases count into the domain. Workers
