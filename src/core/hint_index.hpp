@@ -19,15 +19,14 @@
 // bucket.
 //
 // Tables and generations. A fresh index has one table of kSlots = 1024
-// slots, generation 0, whose span widens to cover every published key
-// (it never shrinks). A *re-index* installs generation g+1 in another
-// table: a larger power-of-two size class when the index is dense, the
-// other table of the same class when only the key span moved. Its span
-// is fixed for the generation: a key outside it routes to an edge
-// bucket and is recorded (seen_lo/seen_hi), and the next re-index takes
-// it in. The new table starts empty and lookups that find nothing in
-// it -- or find only a node far below the key -- fall back to its
-// parent, the table it replaced, which still holds the previous
+// slots, generation 0. Every table's span widens to cover every key
+// published into it (it never shrinks). A *re-index* installs
+// generation g+1 in another table, over the keys the current one's
+// occupied buckets hold: a larger power-of-two size class when the
+// index is dense, the other table of the same class when the keys left
+// most of the span. The new table starts empty and lookups that find
+// nothing in it -- or find only a node far below the key -- fall back
+// to its parent, the table it replaced, which still holds the previous
 // generation's nodes; each op then publishes its walk's
 // end into the new table, moving that node's home out of the parent.
 // So the new generation fills lazily from the old one, as a
@@ -51,10 +50,10 @@
 // its *home*: -1, or a token naming one physical slot and the
 // generation it was set in (table id, generation mod 64, slot index,
 // packed in 31 bits; see token()). A node is only ever published into
-// its home. Within one generation a home is for life: a widen that
-// moves n's bucket stops n from being advertised until the next
-// generation. Across generations a home moves: the next publish of n
-// *re-homes* it into the current table (below). The constructor's -1 is
+// its home. A publish of n *re-homes* it when its key routes elsewhere:
+// into the current table after a re-index, and into its new bucket of
+// the same table after a widen moved it (below). Nothing else moves a
+// home; a purge never does. The constructor's -1 is
 // what makes slab reuse safe: a recycled slot is placement-new'ed, and
 // a node is freed only after its purge, so no stale home survives into
 // the next tenant. A fresh index's tokens are plain slot numbers
@@ -63,21 +62,25 @@
 // Safety. The invariant: a slot X names n only if X is n's home, or
 // some thread that still holds a guard covering n has yet to clear X
 // (a publisher before its re-check, or a re-homer before it clears the
-// home it left). Every slot and home access below is seq_cst, so the
-// single total order S arbitrates each race.
+// home it left). Every slot and home access below is seq_cst. n's mark
+// is an acq_rel RMW on n's next word, and every write of that word
+// after n is linked is an RMW, so an RMW that reads n unmarked heads a
+// release sequence the mark reads from: it happens before the mark,
+// and so before everything the retiring thread does after seeing the
+// mark (the purge, the retire).
 //
 //   publish(k, n)  -- caller guarantees n is covered by its guard and
 //     was observed unmarked during the current op. Read the current
-//     table t and its generation g, then n's home h. If h is not the
-//     slot k routes to in t at g: keep h if it is from t at g (sticky
-//     within a generation), else CAS h -> that slot (first publish:
-//     h = -1; re-home: h from an older generation or table) and, if h
+//     table t and its generation g, widen t's span to k, then read n's
+//     home h. If h is not the slot k routes to in t at g, CAS h -> that
+//     slot (a first publish from h = -1, a re-home otherwise) and, if h
 //     named a slot, clear it of n -- after the home CAS, never before.
-//     Then store the slot (node seq_cst) and RE-CHECK, self-clearing
-//     the slot (CAS n -> null) while the guard still covers n if any
-//     of three changed: n's mark, read with a no-op RMW
-//     (MarkPtr::load_rmw) so it cannot miss a concurrent mark the way
-//     a plain load can; n's home; t's generation.
+//     Then read n's mark with a no-op RMW (MarkPtr::load_rmw) and stop
+//     if it is set. Store the slot (node seq_cst) and RE-CHECK,
+//     self-clearing the slot (CAS n -> null) while the guard still
+//     covers n if any of three changed: n's mark, read with a second
+//     no-op RMW so it cannot miss a concurrent mark the way a plain load
+//     can; n's home; t's generation.
 //   purge(n)       -- the retiring thread clears n's home slot, if it
 //     still names n, *before* retire(n)/leak(n). O(1): one home read
 //     and at most one slot read. Take a store W of n into slot X by
@@ -88,28 +91,30 @@
 //         after W, and R's clear of X after its CAS, so R's clear reads
 //         W (or a later value that no longer names n) and clears it.
 //       * Otherwise the purge reads home X (homes change only by CAS,
-//         and a move away is the case above). Since P's mark RMW read
-//         "unmarked", W <S RMW <S mark <S purge's slot load, so the
-//         purge sees W (or a later value) and clears it.
+//         and a move away is the case above). P's re-check RMW read
+//         "unmarked", so W happens before the mark and hence before
+//         the purge's slot load, which sees W (or a later value) and
+//         clears it.
 //     And a purge that reads home h clears h itself: a publish store
-//     into h after the purge's slot load comes after the mark, so its
-//     re-check sees it and self-clears; a re-home after the purge's
-//     home read stores into its new slot only after the mark, so it
-//     self-clears there too and clears h on the way. Once purge(n) has
-//     returned, no slot names n except transiently while a guard
-//     covering n still holds it.
+//     into h after the purge's slot load cannot be ordered before the
+//     mark that way, so its re-check RMW reads the mark and it
+//     self-clears; a re-home after the purge's home read stores into
+//     its new slot only behind the same re-check, and clears h on the
+//     way. Once purge(n) has returned, no slot names n except
+//     transiently while a guard covering n still holds it.
 //   re-index       -- only ever *clears* slots (a reused table, before
 //     it is installed) and rewrites routing data, so it cannot break
 //     the invariant. A publisher racing it either stored into a table
 //     the re-index does not touch (a growth leaves the old table as
 //     the new one's parent, unchanged), or into the reused table: the
-//     re-index sets that table's generation before it clears it, so
-//     the store either precedes the clear or follows the generation
-//     change and fails the publisher's generation re-check. A node
-//     whose home sits in an old table stays safe there: its purge
-//     clears that slot, and its re-home clears it first. Tables are
-//     freed only with the index, so a reader holding a stale table
-//     pointer reads slots that keep the invariant.
+//     re-index sets that table's generation (seq_cst) and then issues
+//     a seq_cst fence before its relaxed clears, so the store either
+//     precedes the clears in the slot's modification order or follows
+//     the generation change and fails the publisher's generation
+//     re-check. A node whose home sits in an old table stays safe
+//     there: its purge clears that slot, and its re-home clears it
+//     first. Tables are freed only with the index, so a reader holding
+//     a stale table pointer reads slots that keep the invariant.
 //   best(k, valid) -- probe bucket(k) of the current table, then walk
 //     the occupancy bitmap down from it and probe the set bits nearest
 //     first; unless that answered from k's bucket or the one below, do
@@ -119,23 +124,52 @@
 //     wait-free regardless of concurrent writers. A refused parent
 //     candidate may have taken the current one's HP cover, so that one
 //     is validated again (slot re-read included) before it is returned.
+//     A probe that finds a slot whose routing key a widen has moved to
+//     another bucket *drops* it (CAS n -> null) instead of starting a
+//     walk from what may be far below: a clear, so it keeps the
+//     invariant, and n keeps its home, whose purge then finds the slot
+//     empty. The next walk that ends in that bucket publishes into it.
 //     The bitmap is routing data like the keys: publish sets a slot's
-//     bit, the purge that empties the slot clears it, and a racing pair
+//     bit, the clear that empties the slot clears it, and a racing pair
 //     can leave it stale either way, which costs one empty probe or
 //     hides the slot until its next publish.
 //
 // Why a validated hint is then safe to dereference, per reclaimer, is
-// the engines' argument (docs/ARCHITECTURE.md "Read path"): an HP
-// reader re-reads the *same physical slot* after its kAnchor publish,
-// and the slot still naming n orders the protection before whichever
-// clear removes n -- the purge (before the retire, so the retirer's
-// hazard scan sees the protection) or a guard holder's clear (before
-// that holder's hazard is released, so a scan that can free n comes
-// after it). An EBR reader pinned late enough to allow the free must
-// have pinned after an epoch advance that happens-after the clear, so
-// it reads the cleared slot. HP's kAnchor re-read is what slot_node()
-// serves: the candidate's token names its physical slot, whichever
-// table it came from.
+// the engines' argument (docs/ARCHITECTURE.md "Read path"). Take a
+// reader Q that loaded n from slot X. Some thread is *responsible* for
+// n leaving X: the retirer's purge, a publisher's self-clear, or a
+// re-homer's clear of the home it left (purge(n) above). Its access C
+// to X -- the CAS that removes n, or the load that finds X no longer
+// naming n because a probe dropped it first -- follows Q's load in X's
+// modification order.
+//
+// An HP reader re-reads the *same physical slot* after its kAnchor
+// publish, and the slot still naming n orders the protection before
+// C: before the retire when C is the purge's, so the retirer's hazard
+// scan sees the protection, and before the guard holder releases its
+// hazard otherwise, so a scan that can free n comes after it. HP's
+// kAnchor re-read is what slot_node() serves: the candidate's token
+// names its physical slot, whichever table it came from.
+//
+// An EBR reader Q pinned at q keeps n allocated if n was retired at an
+// epoch r >= q - 1 (ebr.hpp frees n's bag once every pinned handle has
+// reached r + 2). Let C's thread be pinned at p. C happens before that
+// thread's unpin, which an epoch advance past p + 1 needs; had Q pinned
+// at p + 2 or later, C would happen before Q's load, which would then
+// not see n. So q <= p + 1, and it remains to show r >= p, from the
+// C++ model alone:
+//   * C is the purge's: the retirer reads r after its own pin at p.
+//   * C is a publisher P's self-clear: P's first RMW read n unmarked
+//     before P stored n anywhere, so P's pin at p happens before the
+//     mark, which happens before the retirer reads r. Read-read
+//     coherence on the epoch word gives r >= p. (Without that first
+//     RMW, P's only sighting of "unmarked" is a plain load, which
+//     orders nothing after it, and r >= p - 1 is all ebr.hpp proves.)
+//   * C is a re-homer R's clear of the home it left, and the purge
+//     read R's new home (had it read X, the purge's own access comes
+//     after Q's load too, the first case): R's home CAS synchronizes
+//     with the purge's home load, so R's pin at p happens before the
+//     retirer reads r, and r >= p again.
 //
 // Publish on miss (hint::maybe_publish). An op publishes the node its
 // walk ended at only if its validated start candidate did not come
@@ -165,16 +199,15 @@
 //   * dense: more than three quarters of the buckets of the occupied
 //     range hold a node, so walks are long because buckets hold many
 //     keys (a uniform set fills that share at 1.4 keys a bucket) ->
-//     the next size class (two classes up for walks above 4x the
-//     target), same span;
+//     the next size class;
 //   * narrow: the occupied range is at most a quarter of the table
-//     (the keys left part of the span) -> same size, the occupied span;
-//   * outside: a fixed-span generation saw keys beyond its span by more
-//     than four bucket widths, piled into its edge bucket -> same size,
-//     a span that takes them in, with slack on that side: four times
-//     the overshoot, doubling with each such re-span in a row, up to
-//     the span's width (an edge of a static range first seen late
-//     costs a little slack; keys that keep drifting get room).
+//     (the keys left most of the span) -> the same size.
+// Either way the new table spans the keys of the occupied buckets.
+// Keys that drift widen the current span, which makes buckets wider
+// and walks longer until one of the two holds: a window that slides
+// over a fixed number of keys grows the index only until it covers at
+// most a quarter of the table by the time its walks are long again;
+// from then on each re-index re-spans to it.
 // One CAS on the generation word picks the thread that installs it;
 // the others keep using the current table. A window that saw the
 // generation change is discarded, so every decision is made on walks
@@ -256,33 +289,32 @@ class HintIndex {
   /// diff (same binary, same layout, no publish/lookup traffic).
   bool enabled() const { return enabled_; }
 
-  /// Publish (key, n) into key's bucket of the current table (a fresh
-  /// index widens its span first if key falls outside it); a no-op if
-  /// that slot is `from` (the slot the caller's walk started from, see
-  /// "Publish on miss") or if n is homed elsewhere in this generation.
-  /// Caller contract: n is covered by the caller's reclamation guard
-  /// for the whole call and was observed unmarked during the current
-  /// operation. See the file comment for the home, re-home and
-  /// re-check/self-clear rules.
+  /// Publish (key, n) into key's bucket of the current table, widening
+  /// its span first if key falls outside it; a no-op if that slot is
+  /// `from` (the slot the caller's walk started from, see "Publish on
+  /// miss") or if n is marked. Caller contract: n is covered by the
+  /// caller's reclamation guard for the whole call and was observed
+  /// unmarked during the current operation. See the file comment for
+  /// the home, re-home and re-check/self-clear rules.
   void publish(long key, Node* n, int from = -1) {
     if (!enabled_ || n == nullptr) return;
     Table& t = *cur_.load(std::memory_order_acquire);
     const unsigned gen = t.gen.load(std::memory_order_seq_cst);
-    if (gen == 0)
-      widen(t, key);
-    else
-      note_outside(t, key);
+    widen(t, key);
     const int b = bucket_in(t, key);
     const int want = token(t.id, gen, b);
     if (want == from) return;
     int home = n->hint_slot.load(std::memory_order_seq_cst);
     if (home != want) {
-      if (home >= 0 && (home >> kSlotBits) == (want >> kSlotBits)) return;
       // First publish or re-home. On a lost race `home` reads back the
       // winner's token and n stays where the winner put it.
       if (!n->hint_slot.compare_exchange_strong(home, want)) return;
       if (home >= 0) clear(home, n);  // after the home CAS, never before
     }
+    // Our own sighting of "unmarked", as an RMW, before n is stored
+    // anywhere: it orders our pin before n's retirement (file comment,
+    // the EBR case).
+    if (n->next.load_rmw().marked) return;
     Slot& s = t.cells[b];
     s.key.store(key, std::memory_order_relaxed);
     s.node.store(n, std::memory_order_seq_cst);
@@ -298,10 +330,7 @@ class HintIndex {
       // re-homer's clear, or the re-index's) may already have run and
       // missed our store. The guard still covers n, so the RMW above
       // and this CAS never touch freed memory.
-      Node* expected = n;
-      s.node.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed);
+      empty(t, b, n);
     }
   }
 
@@ -331,18 +360,19 @@ class HintIndex {
   /// filling after a re-index answers from far below, or not at all.
   /// Slots that turn out empty or whose routing key is not below `key`
   /// (in the parent: not above the current table's candidate) are
-  /// skipped. Per table, every slot is probed at most once and at most
-  /// kMaxProbes in all, after at most kMaxWords bitmap words, and the
-  /// current table's candidate is re-validated at most once, so the
-  /// lookup is wait-free.
+  /// skipped, and one whose routing key a widen moved to another bucket
+  /// is dropped (file comment). Per table, every slot is probed at most
+  /// once and at most kMaxProbes in all, after at most kMaxWords bitmap
+  /// words, and the current table's candidate is re-validated at most
+  /// once, so the lookup is wait-free.
   template <typename Validate>
   Node* best(long key, Validate&& valid, bool* own = nullptr) const {
     if (own != nullptr) *own = false;
     if (!enabled_) return nullptr;
-    const Table& t = *cur_.load(std::memory_order_acquire);
+    Table& t = *cur_.load(std::memory_order_acquire);
     int tok = -1, at = -1, top = 0;
     Node* n = lookup(t, key, nullptr, valid, tok, at, top);
-    const Table* parent = t.parent.load(std::memory_order_acquire);
+    Table* parent = t.parent.load(std::memory_order_acquire);
     if (n != nullptr && at == top && own != nullptr) *own = true;
     if (parent == nullptr || (n != nullptr && at + 1 >= top)) return n;
     bool tried = false;
@@ -397,11 +427,10 @@ class HintIndex {
     return steps * kTargetDen > walks * kTargetNum;
   }
 
-  /// Install the next generation if the current table is dense, narrow
-  /// or outrun (file comment, "When to re-index"); a no-op otherwise,
-  /// or when another thread is installing one. `steps / walks` is the
-  /// caller's recent mean walk, which picks the growth step.
-  void reindex(long steps, long walks) {
+  /// Install the next generation if the current table is dense or
+  /// narrow (file comment, "When to re-index"); a no-op otherwise, or
+  /// when another thread is installing one.
+  void reindex() {
     if (!enabled_) return;
     Table& t = *cur_.load(std::memory_order_acquire);
     const unsigned gen = t.gen.load(std::memory_order_relaxed);
@@ -415,51 +444,21 @@ class HintIndex {
     }
     if (pop == 0) return;
     const long range = last - first + 1;
-    const int cls = class_of(t);
-    // Keys published outside a fixed span pile into its edge bucket:
-    // they drift once they overshoot it by more than four bucket widths
-    // (generation 0 widens instead).
-    const long span_lo = t.lo.load(std::memory_order_relaxed);
-    const long span_hi = t.hi.load(std::memory_order_relaxed);
-    const long seen_lo = t.seen_lo.load(std::memory_order_relaxed);
-    const long seen_hi = t.seen_hi.load(std::memory_order_relaxed);
-    const std::uint64_t widths =
-        4 * (span_of(span_lo, span_hi) / static_cast<std::uint64_t>(t.slots) +
-             1);
-    const std::uint64_t under = span_of(seen_lo, span_lo);
-    const std::uint64_t over = span_of(span_hi, seen_hi);
-    const bool below = under > widths;
-    const bool above = over > widths;
     const bool narrow = range * 4 <= t.slots;
-    const bool dense = !narrow && pop * 4 > range * 3 && cls + 1 < kClasses;
-    if (!below && !above && !narrow && !dense) return;
+    const bool dense =
+        !narrow && pop * 4 > range * 3 && class_of(t) + 1 < kClasses;
+    if (!narrow && !dense) return;
     unsigned claim = gen * 2;
     if (!gen_.compare_exchange_strong(claim, claim + 1)) return;
 
-    // The new span: the occupied buckets and every key seen outside the
-    // span, plus slack on a side the keys overshot: four times the
-    // overshoot, doubling with each re-span in a row that chases the
-    // keys, up to the span's width -- an edge of a static range first
-    // seen late costs a little slack, keys that keep drifting get room
-    // to drift in.
-    long lo = bucket_start(t, first);
-    long hi = last + 1 < t.slots ? bucket_start(t, last + 1) - 1 : span_hi;
-    if (seen_lo < span_lo) lo = std::min(lo, seen_lo);
-    if (seen_hi > span_hi) hi = std::max(hi, seen_hi);
-    const std::uint64_t width = span_of(lo, hi);
-    const int shift = std::min(2 + t.drift, 20);
-    if (above) hi = raise(hi, std::min(width, over << shift));
-    if (below) lo = lower(lo, std::min(width, under << shift));
-    int next_cls = cls;
-    if (dense)
-      next_cls = std::min(kClasses - 1,
-                          cls + (too_long(steps, 4 * walks) ? 2 : 1));
-    Table& next = table_for(next_cls, t, gen + 1);
-    next.drift = below || above ? t.drift + 1 : 0;
+    // The new span: the keys of the occupied buckets (to the span's end
+    // on a side whose edge bucket is occupied).
+    const long lo = bucket_start(t, first);
+    const long hi = last + 1 < t.slots ? bucket_start(t, last + 1) - 1
+                                       : t.hi.load(std::memory_order_relaxed);
+    Table& next = table_for(class_of(t) + (dense ? 1 : 0), t, gen + 1);
     next.lo.store(lo, std::memory_order_relaxed);
     next.hi.store(hi, std::memory_order_relaxed);
-    next.seen_lo.store(lo, std::memory_order_relaxed);
-    next.seen_hi.store(hi, std::memory_order_relaxed);
     next.scale.store(scale_for(lo, hi, next.slots), std::memory_order_relaxed);
     next.parent.store(&t, std::memory_order_release);
     cur_.store(&next, std::memory_order_seq_cst);
@@ -502,11 +501,13 @@ class HintIndex {
     Table(const Table&) = delete;
     Table& operator=(const Table&) = delete;
 
-    /// Empty every slot and bit (a reused table, before install; its
-    /// generation is already set, see the file comment).
+    /// Empty every slot and bit (a reused table, before install). Its
+    /// generation is already set; the fence orders every publish store
+    /// that missed the change before these clears (file comment).
     void reset() {
+      std::atomic_thread_fence(std::memory_order_seq_cst);
       for (int b = 0; b < slots; ++b)
-        cells[b].node.store(nullptr, std::memory_order_seq_cst);
+        cells[b].node.store(nullptr, std::memory_order_relaxed);
       for (int w = 0; w < slots / 64; ++w)
         occupied[w].store(0, std::memory_order_relaxed);
     }
@@ -521,11 +522,7 @@ class HintIndex {
     std::atomic<std::uint64_t> scale{0};
     Slot* const cells;
     std::atomic<std::uint64_t>* const occupied;  // bit b % 64 of word b / 64
-    std::atomic<const Table*> parent{nullptr};
-    int drift = 0;  // re-spans in a row chasing drifting keys, to here
-    // Keys published outside a fixed span (generations above 0).
-    alignas(64) std::atomic<long> seen_lo{std::numeric_limits<long>::max()};
-    std::atomic<long> seen_hi{std::numeric_limits<long>::min()};
+    std::atomic<Table*> parent{nullptr};
   };
 
   static int class_of(const Table& t) { return t.id / 2; }
@@ -578,23 +575,18 @@ class HintIndex {
                    : 0;
   }
 
-  /// key + d and key - d, clamped to long's range.
+  /// key + d, clamped to long's range.
   static long raise(long key, std::uint64_t d) {
     return d >= span_of(key, std::numeric_limits<long>::max())
                ? std::numeric_limits<long>::max()
                : static_cast<long>(static_cast<std::uint64_t>(key) + d);
-  }
-  static long lower(long key, std::uint64_t d) {
-    return d >= span_of(std::numeric_limits<long>::min(), key)
-               ? std::numeric_limits<long>::min()
-               : static_cast<long>(static_cast<std::uint64_t>(key) - d);
   }
 
   /// best() in one table: the first validated candidate below `key`
   /// (and above `floor`, when given), its token in `tok` and its bucket
   /// in `at`; `top` is key's bucket.
   template <typename Validate>
-  static Node* lookup(const Table& t, long key, const Node* floor,
+  static Node* lookup(Table& t, long key, const Node* floor,
                       Validate& valid, int& tok, int& at, int& top) {
     const int base = token(t.id, t.gen.load(std::memory_order_relaxed), 0);
     const long low = floor != nullptr ? floor->key : 0;
@@ -606,12 +598,18 @@ class HintIndex {
       // orders them after the node's initialization for a reader that
       // never walked to n. The routing key and the bitmap stay
       // relaxed -- they are never dereferenced, only compared.
-      const Slot& s = t.cells[b];
+      Slot& s = t.cells[b];
       Node* n = s.node.load(std::memory_order_seq_cst);
       if (n == nullptr) return nullptr;
       const long k = s.key.load(std::memory_order_relaxed);
-      if (!(k < key && (floor == nullptr || k > low)) || !valid(n, base | b))
+      if (!(k < key && (floor == nullptr || k > low))) return nullptr;
+      if (bucket_in(t, k) != b) {
+        // A widen routed n to another bucket, maybe far below: drop it
+        // here (n keeps its home; its purge finds this slot empty).
+        empty(t, b, n);
         return nullptr;
+      }
+      if (!valid(n, base | b)) return nullptr;
       tok = base | b;
       at = b;
       return n;
@@ -640,12 +638,16 @@ class HintIndex {
   void clear(int tok, Node* n) {
     Table& t = *tables_[slot_table(tok)].load(std::memory_order_acquire);
     const int b = slot_index(tok);
-    std::atomic<Node*>& slot = t.cells[b].node;
-    if (slot.load(std::memory_order_seq_cst) != n) return;
+    if (t.cells[b].node.load(std::memory_order_seq_cst) == n) empty(t, b, n);
+  }
+
+  /// CAS slot b of t from n to null, and clear its bit if that emptied
+  /// it.
+  static void empty(Table& t, int b, Node* n) {
     Node* expected = n;
-    if (slot.compare_exchange_strong(expected, nullptr,
-                                     std::memory_order_seq_cst,
-                                     std::memory_order_relaxed))
+    if (t.cells[b].node.compare_exchange_strong(expected, nullptr,
+                                                std::memory_order_seq_cst,
+                                                std::memory_order_relaxed))
       t.occupied[b / 64].fetch_and(~(std::uint64_t{1} << (b % 64)),
                                    std::memory_order_relaxed);
   }
@@ -660,8 +662,7 @@ class HintIndex {
     return static_cast<std::uint64_t>(s < max ? s : max);
   }
 
-  /// Generation 0 only: grow [lo, hi] to cover key and recompute the
-  /// scale. The fast path (key already inside) is two relaxed loads.
+  /// Grow t's [lo, hi] to cover key and recompute the scale. The fast path (key already inside) is two relaxed loads.
   /// The slow path is seq_cst so that the last scale stored matches the
   /// final span: a widener re-reads lo/hi after its scale store and
   /// recomputes if another widen landed in between.
@@ -677,22 +678,7 @@ class HintIndex {
       lo = t.lo.load();
       hi = t.hi.load();
       t.scale.store(scale_for(lo, hi, t.slots));
-      t.seen_lo.store(lo, std::memory_order_relaxed);
-      t.seen_hi.store(hi, std::memory_order_relaxed);
       if (t.lo.load() == lo && t.hi.load() == hi) return;
-    }
-  }
-
-  /// Fixed-span generations: record a key published outside the span
-  /// for the next re-index. Two relaxed loads when inside.
-  static void note_outside(Table& t, long key) {
-    long s = t.seen_lo.load(std::memory_order_relaxed);
-    while (key < s && !t.seen_lo.compare_exchange_weak(
-                          s, key, std::memory_order_relaxed)) {
-    }
-    s = t.seen_hi.load(std::memory_order_relaxed);
-    while (key > s && !t.seen_hi.compare_exchange_weak(
-                          s, key, std::memory_order_relaxed)) {
     }
   }
 
@@ -777,7 +763,7 @@ inline void note_walk(HintIndex<Node>& hints, WalkWindow& w, bool own,
   if (++w.walks < HintIndex<Node>::kWindowWalks) return;
   if (hints.generation() == w.gen &&
       HintIndex<Node>::too_long(w.steps, w.walks))
-    hints.reindex(w.steps, w.walks);
+    hints.reindex();
   w = {0, 0, hints.generation()};
 }
 

@@ -233,10 +233,10 @@ TEST(HintIndexSafety, PurgeAfterWidenClearsEverySlotNamingTheNode) {
   EXPECT_NE(idx.best(n.key + 1, below(n.key + 1)), &n);
 }
 
-// A node's first publish fixes its home slot for life: after the span
-// widens, publishing it again is a no-op rather than a second slot
-// naming it, so purge's one-slot clear stays complete.
-TEST(HintIndexSafety, HomeSlotIsSticky) {
+// A node's home follows its bucket: after the span widens, publishing
+// it again re-homes it into its new bucket and clears the old slot, so
+// one slot names it and purge's one-slot clear stays complete.
+TEST(HintIndexSafety, HomeFollowsItsBucketAcrossAWiden) {
   Index idx;
   TestNode lo(0), hi(999), n(500), far(1'000'000'000'000L - 1);
   idx.publish(lo.key, &lo);
@@ -250,16 +250,42 @@ TEST(HintIndexSafety, HomeSlotIsSticky) {
   const int now = idx.bucket(n.key);
   ASSERT_NE(now, home) << "the widen did not move n";
   idx.publish(n.key, &n);
-  EXPECT_EQ(n.hint_slot.load(), home);
+  EXPECT_EQ(n.hint_slot.load(), now);
+  EXPECT_EQ(idx.slot_node(now), &n);
   for (int s = 0; s < kSlots; ++s) {
-    if (s != home) {
+    if (s != now) {
       EXPECT_NE(idx.slot_node(s), &n) << s;
     }
   }
 
   idx.purge(&n);
   for (int s = 0; s < kSlots; ++s) EXPECT_NE(idx.slot_node(s), &n) << s;
-  EXPECT_EQ(n.hint_slot.load(), home);  // purge never re-homes
+  EXPECT_EQ(n.hint_slot.load(), now);  // purge never re-homes
+}
+
+// A lookup that probes a slot whose node a widen routed to another
+// bucket drops it rather than start a walk far below its key; n keeps
+// its home, and its purge then finds no slot naming it.
+TEST(HintIndexSafety, LookupDropsASlotAWidenMovedItsNodeOutOf) {
+  Index idx;
+  TestNode lo(0), hi(999), n(500), far(1'000'000'000'000L - 1);
+  idx.publish(lo.key, &lo);
+  idx.publish(hi.key, &hi);
+  idx.publish(n.key, &n);
+  const int home = idx.bucket(n.key);
+  ASSERT_EQ(idx.slot_node(home), &n);
+  idx.publish(far.key, &far);
+  ASSERT_NE(idx.bucket(n.key), home) << "the widen did not move n";
+
+  long k = far.key / kSlots * home + 1;  // a key of bucket `home` now
+  while (idx.bucket(k) < home) k += far.key / kSlots / 4;
+  ASSERT_EQ(idx.bucket(k), home);
+  EXPECT_EQ(idx.best(k, below(k)), &lo);
+  EXPECT_EQ(idx.slot_node(home), nullptr);
+  EXPECT_EQ(n.hint_slot.load(), home);
+
+  idx.purge(&n);
+  for (int s = 0; s < kSlots; ++s) EXPECT_NE(idx.slot_node(s), &n) << s;
 }
 
 // A node that was never published has no home, and its purge reads no
@@ -429,7 +455,8 @@ TEST(HintIndexPublishOnMiss, SparseShardIndexYieldsTheNearestNodeBelow) {
     if (shard::shard_of(k, 8) == 0) nodes.emplace_back(k);
   ASSERT_GT(nodes.size(), 200u);
   // Settle the span first: a node homed while the span was still
-  // narrower keeps that home for life (see HomeSlotIsSticky).
+  // narrower would route to its new bucket only from its next publish
+  // (see HomeFollowsItsBucketAcrossAWiden).
   Index idx;
   TestNode lo(0), hi(kUniverse - 1);
   idx.publish(lo.key, &lo);
@@ -662,16 +689,13 @@ class ModelList {
 };
 
 /// Every lookup toward a key of [lo, hi] starts within one bucket width
-/// of the current table below where its walk ends. Keys in the edge
-/// buckets are skipped: a fixed span routes the keys published beyond
-/// it there until the next re-index takes them in.
+/// of the current table below where its walk ends.
 void expect_best_within_one_bucket(const ModelList& m, long lo, long hi) {
   const long buckets = m.idx.bucket(hi) - m.idx.bucket(lo) + 1;
   const long width = (hi - lo + 1) / buckets + 1;
   for (long k = lo; k <= hi; k += 3) {
     const TestNode* want = m.pred(k);
-    const int b = m.idx.bucket(k);
-    if (want == nullptr || b == 0 || b == m.idx.slots() - 1) continue;
+    if (want == nullptr) continue;
     const TestNode* got = m.idx.best(k, below(k));
     ASSERT_NE(got, nullptr) << "key " << k;
     EXPECT_LE(got->key, want->key) << "key " << k;
@@ -763,7 +787,7 @@ TEST(HintIndexReindex, SlotMemoryStaysWithinTheStatedBound) {
     const long stride = kKeys / idx.slots();
     for (long k = 0; k < kKeys; k += stride)
       idx.publish(k, &nodes[static_cast<std::size_t>(k)]);
-    idx.reindex(/*steps=*/3 * Index::kWindowWalks, Index::kWindowWalks);
+    idx.reindex();
     EXPECT_LE(idx.slot_bytes(), Index::kMaxSlotBytes) << "step " << step;
     EXPECT_LT(idx.slot_bytes(), 4 * Index::table_bytes(idx.slots()))
         << "step " << step;
@@ -774,7 +798,7 @@ TEST(HintIndexReindex, SlotMemoryStaysWithinTheStatedBound) {
   const long stride = kKeys / idx.slots();
   for (long k = 0; k < kKeys; k += stride)
     idx.publish(k, &nodes[static_cast<std::size_t>(k)]);
-  idx.reindex(3 * Index::kWindowWalks, Index::kWindowWalks);
+  idx.reindex();
   EXPECT_EQ(idx.generation(), at_cap) << "grew past the cap";
 }
 
@@ -793,7 +817,7 @@ TEST(HintIndexReindex, RehomedNodeLeavesNoSlotBehind) {
   const int home = n.hint_slot.load();
   ASSERT_EQ(idx.slot_node(home), &n);
   // Every bucket holds a node: a long-walk report grows the index.
-  idx.reindex(/*steps=*/3 * Index::kWindowWalks, Index::kWindowWalks);
+  idx.reindex();
   ASSERT_EQ(idx.generation(), 1u);
   ASSERT_EQ(idx.slot_node(home), &n) << "a growth leaves the old table";
   idx.publish(n.key, &n);

@@ -494,8 +494,8 @@ TYPED_TEST(LockStepDrainChurn, EveryRoundDrainsToAnExactLedger) {
 // Grow-and-drift churn for the re-indexing hint index: a window of
 // kWindow live keys slides up by twenty times its width while four
 // threads read inside it. The window is denser than 1024 slots route
-// well, so the index grows; then its keys leave each fixed span and it
-// re-spans again and again. Each re-index installs a table while other
+// well, so the index grows; then its keys widen each table's span until
+// their walks are long again, and it re-spans again and again. Each re-index installs a table while other
 // threads still publish into and purge from the old one, and every
 // node homed in an older generation is re-homed or purged there. Over
 // slab memory a slot left naming a freed node is a use-after-poison
