@@ -51,7 +51,7 @@ inline void check_valid(const core::ISet& set) {
 
 /// Carve a scan fraction out of a point mix's contains share:
 /// {25,25,50} with scan_pct 20 becomes 25/25/30/20. The shared
-/// --scan-frac semantics of bench_scan and bench_soak.
+/// --scan-frac semantics of bench_grid and bench_soak.
 inline workload::OpMix with_scans(workload::OpMix mix, int scan_pct) {
   PRAGMALIST_CHECK(scan_pct >= 0 && scan_pct <= mix.con_pct,
                    "--scan-frac must be in [0, contains share]");
@@ -124,9 +124,8 @@ struct GridCell {
 };
 
 /// Row-major expansion (variant -> reclaimer -> shards -> suffix) of
-/// the grid every reclaim-aware bench sweeps; shard counts < 1 are
-/// skipped. The one copy of the loop nest that used to be duplicated
-/// across bench_reclaim/bench_scan/bench_latency/bench_faults.
+/// the grid the reclaim-aware benches sweep; shard counts < 1 are
+/// skipped.
 inline std::vector<GridCell> expand_grid(
     const std::vector<std::string>& variants,
     const std::vector<std::string>& reclaimers,

@@ -36,7 +36,7 @@ namespace pragmalist::core {
 /// walk_steps counts the nodes core::locate examined, every pass of
 /// every point-op walk (scans are not walks). The
 /// starvation tier asserts restarts stays proportional to ops --
-/// bounded retries -- and bench_latency prints hints and restarts per
+/// bounded retries -- and bench_grid prints hints and restarts per
 /// cell.
 struct OpCounters {
   long adds = 0;
@@ -277,7 +277,7 @@ class ISet {
 
   /// Operations routed to each shard (attempts, all op kinds) --
   /// quiescent-only, like validate(). Empty when unsharded; the
-  /// shard-load reports in bench_reclaim/bench_soak use it to show how
+  /// shard-load reports in bench_grid/bench_soak use it to show how
   /// a skewed key stream loads the partition.
   virtual std::vector<long> shard_ops() const { return {}; }
 

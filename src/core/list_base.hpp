@@ -408,7 +408,7 @@ Node* tighter(Node* head, Node* cursor, Node* hint) {
 ///   * EBR    -- plain_scan inside ONE epoch pin covering the whole
 ///     scan (the caller's guard): nothing retired after the pin can be
 ///     freed until the scan unpins. Long scans therefore hold the
-///     reclamation horizon -- the cost bench_scan prices against HP.
+///     reclamation horizon -- the cost bench_grid's scan cells price against HP.
 ///   * HP     -- hazard_scan: locate()'s hazard discipline, generalized
 ///     to emit along the way. Per-step publish + anchor revalidation;
 ///     a lost anchor resumes from the last live anchor (the head once

@@ -9,15 +9,14 @@
 #include "src/core/unrolled_family.hpp"
 #include "src/core/variants.hpp"
 #include "src/shard/sharded_set.hpp"
-#include "src/structures/skiplist.hpp"
 
 namespace pragmalist::harness {
 namespace {
 
 // What an adapted structure exposes beyond the common set surface.
 // Engines carry node accounting, reclaim limbo and fault injection; a
-// sharded set of them adds per-shard load. The plain rows (locked
-// lists, skip lists) have none of it, so ISet's defaults stand -- and
+// sharded set of them adds per-shard load. The plain rows (the locked
+// lists) have none of it, so ISet's defaults stand -- and
 // ISetHandle's no-op abandon makes them fault-oblivious (a "crash" is
 // just a clean departure there).
 enum class Surface { kPlain, kEngine, kSharded };
@@ -155,7 +154,7 @@ SetPtr make_engine(std::string id, const Cell& c) {
   return make_cell<ListWith<reclaim::Arena>>(std::move(id), c);
 }
 
-// Locked lists and skip lists `new` their own nodes, so the node-memory
+// The locked lists `new` their own nodes, so the node-memory
 // mode is silently irrelevant to them. They have no hint index either,
 // but that is NOT silent: their `/nohint` twin would benchmark the
 // structure against itself, so it is rejected.
@@ -203,12 +202,10 @@ constexpr PlainRow kAblations[] = {
      &make_cell<core::SinglyCursorBackoffList>},
 };
 
-// Baselines g/h and the skip-list structures k/l.
+// Baselines g/h.
 constexpr PlainRow kPlain[] = {
     {"coarse_lock", "g", &make_plain<baselines::CoarseLockList>},
     {"lazy_lock", "h", &make_plain<baselines::LazyLockList>},
-    {"skiplist", "k", &make_plain<structures::SkipList>},
-    {"skiplist_draconic", "l", &make_plain<structures::SkipListDraconic>},
 };
 
 constexpr std::string_view kReclaimSegments[] = {"", "/ebr", "/hp"};
@@ -348,7 +345,7 @@ const std::vector<std::string_view>& figure_variant_ids() {
 const std::vector<std::string_view>& all_variant_ids() {
   // The paper rows and their arena-only ablations, the paper rows under
   // each reclaimer, the other engine families under every reclaimer,
-  // then the plain structures.
+  // then the locked baselines.
   static const auto& ids = intern([] {
     std::vector<std::string> v;
     for (const auto seg : kReclaimSegments) {

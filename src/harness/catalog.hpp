@@ -19,8 +19,8 @@
 //
 // Plain ids are single cells that take no /ebr, /hp or /shN segment:
 //   ablation-only engines: doubly_cursor_noprec, singly_cursor_backoff
-//   baselines: coarse_lock, lazy_lock; structures: skiplist,
-//     skiplist_draconic (these ignore /heap and reject /nohint)
+//   baselines: coarse_lock, lazy_lock (these ignore /heap and reject
+//     /nohint)
 #pragma once
 
 #include <memory>
@@ -49,7 +49,7 @@ const std::vector<std::string_view>& figure_variant_ids();
 const std::vector<std::string_view>& all_variant_ids();
 
 /// The `<variant>/<reclaimer>` grid: every engine under ebr and hp
-/// reclamation (the stress tier and bench_reclaim iterate this).
+/// reclamation (the stress tier iterates this).
 const std::vector<std::string_view>& reclaim_variant_ids();
 
 /// The sharded showcase grid: every `<variant>/<reclaimer>` id behind
@@ -58,7 +58,7 @@ const std::vector<std::string_view>& reclaim_variant_ids();
 const std::vector<std::string_view>& sharded_variant_ids();
 
 /// Paper row letter for an id ("a".."f"), g/h for the locked
-/// baselines, k/l for the skip lists, "-" for anything unlettered.
+/// baselines, "-" for anything unlettered.
 std::string_view variant_letter(std::string_view id);
 
 }  // namespace pragmalist::harness

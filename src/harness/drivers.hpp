@@ -71,7 +71,7 @@ RunResult run_random_mix(core::ISet& set, int p, long c, long prefill,
                          LatencyProfile* lat = nullptr);
 
 /// Fixed-rate (coordinated-omission-aware) mix driver behind
-/// bench_latency --rate: each of the p workers issues its ops on an
+/// bench_grid --rate: each of the p workers issues its ops on an
 /// absolute schedule of `rate` intended starts per second and records
 /// completion - *intended* start into `lat`, so a stall charges its
 /// full duration to the stalled op and the queueing delay to every op

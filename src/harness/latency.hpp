@@ -268,7 +268,7 @@ struct LatencyProfile {
 };
 
 /// Fixed-rate pacing core, the coordinated-omission-aware loop under
-/// bench_latency's --rate mode. Op i's *intended* start is
+/// bench_grid's --rate mode. Op i's *intended* start is
 /// t0 + i*period: the loop sleeps until the intended start when ahead
 /// but never shifts the schedule when behind, and hands `op` the
 /// intended start so the caller records completion - intended. A stall

@@ -1,19 +1,28 @@
 #include "src/harness/options.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <sstream>
 
 namespace pragmalist::harness {
+namespace {
 
-Options Options::parse(int argc, char** argv) {
+/// Flags every strict binary accepts: --help and the thread/pinning
+/// flags the bench helpers read (bench::default_threads, --no-pin).
+constexpr std::string_view kSharedFlags[] = {"help", "threads", "paper",
+                                             "no-pin"};
+
+}  // namespace
+
+Options Options::tokenize(int argc, char** argv) {
   Options opt;
   if (argc > 0) opt.program_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "options: ignoring stray argument '%s'\n",
-                   arg.c_str());
+      opt.strays_.push_back(std::move(arg));
       continue;
     }
     Flag flag;
@@ -36,53 +45,93 @@ Options Options::parse(int argc, char** argv) {
   return opt;
 }
 
+Options Options::parse(int argc, char** argv) {
+  Options opt = tokenize(argc, argv);
+  for (const auto& arg : opt.strays_)
+    std::fprintf(stderr, "options: ignoring stray argument '%s'\n",
+                 arg.c_str());
+  return opt;
+}
+
+Options Options::parse(int argc, char** argv,
+                       const std::vector<std::string_view>& known,
+                       std::string usage) {
+  Options opt = tokenize(argc, argv);
+  opt.strict_ = true;
+  opt.usage_ = std::move(usage);
+  if (opt.get_bool("help")) {
+    std::fputs(opt.usage_.c_str(), stdout);
+    std::exit(0);
+  }
+  for (const auto& flag : opt.flags_) {
+    const auto is = [&](std::string_view name) { return name == flag.name; };
+    if (std::none_of(known.begin(), known.end(), is) &&
+        std::none_of(std::begin(kSharedFlags), std::end(kSharedFlags), is))
+      opt.usage_error("unknown flag --" + flag.name);
+  }
+  if (!opt.strays_.empty())
+    opt.usage_error("stray argument '" + opt.strays_.front() + "'");
+  return opt;
+}
+
+void Options::usage_error(const std::string& msg) const {
+  std::fprintf(stderr, "%s: %s\n%s", program_.c_str(), msg.c_str(),
+               usage_.c_str());
+  std::exit(2);
+}
+
 const Options::Flag* Options::lookup(const std::string& name) const {
   for (const auto& flag : flags_)
     if (flag.name == name) return &flag;
   return nullptr;
 }
 
+const Options::Flag* Options::valued(const std::string& name) const {
+  const Flag* flag = lookup(name);
+  if (flag == nullptr || flag->has_value) return flag;
+  if (strict_) usage_error("--" + name + " needs a value");
+  return nullptr;
+}
+
+void Options::malformed(const std::string& problem,
+                        const std::string& fallback) const {
+  if (strict_) usage_error(problem);
+  std::fprintf(stderr, "options: %s; using %s\n", problem.c_str(),
+               fallback.c_str());
+}
+
+/// strtol with a full-consumption check: "--c 1e6" or "--threads four"
+/// must not silently become 1 or 0.
+long Options::parse_long(const std::string& name, const std::string& value,
+                         long def) const {
+  char* end = nullptr;
+  const long parsed = std::strtol(value.c_str(), &end, 10);
+  if (end != value.c_str() && *end == '\0') return parsed;
+  malformed("--" + name + " value '" + value + "' is not an integer",
+            std::to_string(def));
+  return def;
+}
+
 int Options::get_int(const std::string& name, int def) const {
   return static_cast<int>(get_long(name, def));
 }
 
-namespace {
-
-/// strtol with a full-consumption check: "--c 1e6" or "--threads four"
-/// must not silently become 1 or 0.
-long parse_long_or_warn(const std::string& name, const std::string& value,
-                        long def) {
-  char* end = nullptr;
-  const long parsed = std::strtol(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') {
-    std::fprintf(stderr,
-                 "options: --%s value '%s' is not an integer; using %ld\n",
-                 name.c_str(), value.c_str(), def);
-    return def;
-  }
-  return parsed;
-}
-
-}  // namespace
-
 long Options::get_long(const std::string& name, long def) const {
-  const Flag* flag = lookup(name);
-  if (flag == nullptr || !flag->has_value) return def;
-  return parse_long_or_warn(name, flag->value, def);
+  const Flag* flag = valued(name);
+  return flag == nullptr ? def : parse_long(name, flag->value, def);
 }
 
 double Options::get_double(const std::string& name, double def) const {
-  const Flag* flag = lookup(name);
-  if (flag == nullptr || !flag->has_value) return def;
+  const Flag* flag = valued(name);
+  if (flag == nullptr) return def;
   char* end = nullptr;
   const double parsed = std::strtod(flag->value.c_str(), &end);
-  if (end == flag->value.c_str() || *end != '\0') {
-    std::fprintf(stderr,
-                 "options: --%s value '%s' is not a number; using %g\n",
-                 name.c_str(), flag->value.c_str(), def);
-    return def;
-  }
-  return parsed;
+  if (end != flag->value.c_str() && *end == '\0') return parsed;
+  std::ostringstream fallback;
+  fallback << def;
+  malformed("--" + name + " value '" + flag->value + "' is not a number",
+            fallback.str());
+  return def;
 }
 
 bool Options::get_bool(const std::string& name) const {
@@ -94,8 +143,8 @@ bool Options::get_bool(const std::string& name) const {
 
 std::string Options::get_string(const std::string& name,
                                 const std::string& def) const {
-  const Flag* flag = lookup(name);
-  if (flag == nullptr || !flag->has_value) return def;
+  const Flag* flag = valued(name);
+  if (flag == nullptr) return def;
   return flag->value;
 }
 
@@ -116,18 +165,18 @@ std::vector<std::string> split_commas(const std::string& value) {
 
 std::vector<long> Options::get_longs(const std::string& name,
                                      const std::vector<long>& def) const {
-  const Flag* flag = lookup(name);
-  if (flag == nullptr || !flag->has_value) return def;
+  const Flag* flag = valued(name);
+  if (flag == nullptr) return def;
   std::vector<long> values;
   for (const auto& item : split_commas(flag->value))
-    values.push_back(parse_long_or_warn(name, item, 0));
+    values.push_back(parse_long(name, item, 0));
   return values.empty() ? def : values;
 }
 
 std::vector<std::string> Options::get_string_list(
     const std::string& name, const std::vector<std::string>& def) const {
-  const Flag* flag = lookup(name);
-  if (flag == nullptr || !flag->has_value) return def;
+  const Flag* flag = valued(name);
+  if (flag == nullptr) return def;
   std::vector<std::string> values = split_commas(flag->value);
   return values.empty() ? def : values;
 }

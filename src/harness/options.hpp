@@ -1,10 +1,20 @@
 // Tiny CLI parser for the bench binaries. Flags are `--name value`,
-// `--name=value`, or bare `--name` (boolean). Unknown flags warn but do
-// not abort, so every binary accepts the shared flag vocabulary.
+// `--name=value`, or bare `--name` (boolean).
+//
+// Two modes. The lenient parse(argc, argv) keeps every flag it is
+// given without checking its name -- a mistyped flag is silently
+// ignored -- and a malformed value warns on stderr and falls back to
+// the default. The strict parse(argc, argv, known, usage) checks every
+// name against the binary's own flags plus the shared ones every bench
+// reads (--help, --threads, --paper, --no-pin): --help prints
+// the usage and exits 0, and an unknown flag, a stray argument or a
+// malformed value (also a bare value flag) prints the usage to stderr
+// and exits 2, before the binary runs anything.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pragmalist::harness {
@@ -12,6 +22,13 @@ namespace pragmalist::harness {
 class Options {
  public:
   static Options parse(int argc, char** argv);
+  static Options parse(int argc, char** argv,
+                       const std::vector<std::string_view>& known,
+                       std::string usage);
+
+  /// Print "<program>: <msg>" and the usage to stderr and exit 2 --
+  /// how a strict binary rejects a flag value it validates itself.
+  [[noreturn]] void usage_error(const std::string& msg) const;
 
   /// Value of --name as int/long, or `def` when absent.
   int get_int(const std::string& name, int def) const;
@@ -67,10 +84,24 @@ class Options {
     bool has_value = false;
   };
 
+  /// Split argv into flags and stray (non-flag) arguments.
+  static Options tokenize(int argc, char** argv);
   const Flag* lookup(const std::string& name) const;
+  /// lookup() for a value getter: nullptr when absent (or bare, when
+  /// lenient); a strict parse rejects a bare value flag.
+  const Flag* valued(const std::string& name) const;
+  /// A value that does not parse: strict exits 2, lenient warns
+  /// "options: <problem>; using <fallback>" and the caller falls back.
+  void malformed(const std::string& problem,
+                 const std::string& fallback) const;
+  long parse_long(const std::string& name, const std::string& value,
+                  long def) const;
 
   std::string program_;
   std::vector<Flag> flags_;
+  std::vector<std::string> strays_;
+  bool strict_ = false;
+  std::string usage_;
 };
 
 }  // namespace pragmalist::harness

@@ -225,12 +225,13 @@ TEST(SlabDomain, UnrolledEbrLedgerBalances) {
 }
 
 // The catalog's mode plumbing: engine ids default to slab, `/heap` is
-// the malloc twin, and `unrolled-k8` aliases to the underscore id.
+// the malloc twin, `unrolled-k8` aliases to the underscore id, and a
+// plain row (`lazy_lock/heap`) ignores `/heap`.
 TEST(SlabCatalog, ModeAndAliasParsing) {
   for (const char* id :
        {"unrolled_k8", "unrolled-k8", "unrolled_k8/ebr", "unrolled-k8/hp",
         "singly/heap", "unrolled_k8/hp/sh4/heap", "singly/ebr/sh2",
-        "skiplist/heap"}) {
+        "lazy_lock/heap"}) {
     auto set = harness::make_set(id);
     ASSERT_NE(set, nullptr) << id;
     EXPECT_EQ(set->name(), id);

@@ -124,6 +124,34 @@ TEST(Options, DurationRejectsJunkAndNegatives) {
   EXPECT_EQ(opt.get_duration_ms("d", 7), 7);
 }
 
+harness::Options parse_strict(std::vector<std::string> args) {
+  std::vector<char*> argv;
+  argv.push_back(const_cast<char*>("prog"));
+  for (auto& a : args) argv.push_back(a.data());
+  return harness::Options::parse(static_cast<int>(argv.size()), argv.data(),
+                                 {"c", "ids"}, "usage: prog\n");
+}
+
+TEST(Options, StrictParseAcceptsOwnAndSharedFlags) {
+  const auto opt = parse_strict({"--c", "7", "--threads=2", "--no-pin"});
+  EXPECT_EQ(opt.get_long("c", 0), 7);
+  EXPECT_EQ(opt.get_int("threads", 0), 2);
+  EXPECT_TRUE(opt.get_bool("no-pin"));
+  EXPECT_EQ(opt.get_long("absent", 3), 3);
+}
+
+TEST(OptionsDeathTest, StrictParseExitsTwoOnBadFlags) {
+  const auto exit2 = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(parse_strict({"--thraeds", "2"}), exit2,
+              "unknown flag --thraeds(.|\n)*usage: prog");
+  EXPECT_EXIT(parse_strict({"--c", "1", "2"}), exit2, "stray argument '2'");
+  EXPECT_EXIT(parse_strict({"--c", "1e6"}).get_long("c", 0), exit2,
+              "--c value '1e6' is not an integer");
+  EXPECT_EXIT(parse_strict({"--c"}).get_long("c", 0), exit2,
+              "--c needs a value");
+  EXPECT_EXIT(parse_strict({"--help"}), ::testing::ExitedWithCode(0), "");
+}
+
 TEST(Catalog, PaperVariantsAreTheSixRows) {
   const auto& ids = harness::paper_variant_ids();
   ASSERT_EQ(ids.size(), 6u);
@@ -156,7 +184,7 @@ TEST(CatalogDeathTest, RejectsMalformedIds) {
   const char* kPlainOnly = "takes no /ebr, /hp or /shN";
   EXPECT_DEATH(harness::make_set("nonsense"), "unknown variant 'nonsense'");
   EXPECT_DEATH(harness::make_set("coarse_lock/nohint"), "no hint index");
-  EXPECT_DEATH(harness::make_set("skiplist/sh4"), kPlainOnly);
+  EXPECT_DEATH(harness::make_set("coarse_lock/sh4"), kPlainOnly);
   EXPECT_DEATH(harness::make_set("lazy_lock/ebr"), kPlainOnly);
   EXPECT_DEATH(harness::make_set("doubly_cursor_noprec/hp"), kPlainOnly);
   EXPECT_DEATH(harness::make_set("singly/sh0"), "shard count");

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/unrolled_family.hpp"
-#include "src/structures/skiplist.hpp"
 #include "tests/test_util.hpp"
 
 namespace pragmalist {
@@ -16,8 +15,7 @@ class ValidateCatchesCorruption : public ::testing::Test {};
 using CorruptibleLists =
     ::testing::Types<core::DraconicList, core::SinglyList, core::DoublyList,
                      core::SinglyCursorList, core::SinglyFetchOrList,
-                     core::DoublyCursorList, core::UnrolledK8List,
-                     structures::SkipList, structures::SkipListDraconic>;
+                     core::DoublyCursorList, core::UnrolledK8List>;
 TYPED_TEST_SUITE(ValidateCatchesCorruption, CorruptibleLists);
 
 TYPED_TEST(ValidateCatchesCorruption, OrderViolationIsReported) {
