@@ -109,11 +109,15 @@ inline std::vector<long> sorted_unique(std::vector<long> keys) {
 
 /// The ids the catalog-wide suites run: every catalog id plus the
 /// textbook Michael list on both domains, which is row a's
-/// `/heap/nohint` twin and the reference row of the benches.
+/// `/heap/nohint` twin and the reference row of the benches, and one
+/// twin of each other layer axis: heap node memory under the headline
+/// engine, and the fat-node engine's unhinted read path under HP.
 inline std::vector<std::string_view> catalog_test_ids() {
   std::vector<std::string_view> ids = harness::all_variant_ids();
   ids.push_back("draconic/hp/heap/nohint");
   ids.push_back("draconic/ebr/heap/nohint");
+  ids.push_back("singly_fetch_or/ebr/heap");
+  ids.push_back("unrolled_k8/hp/nohint");
   return ids;
 }
 

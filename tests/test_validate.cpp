@@ -15,7 +15,8 @@ class ValidateCatchesCorruption : public ::testing::Test {};
 using CorruptibleLists =
     ::testing::Types<core::DraconicList, core::SinglyList, core::DoublyList,
                      core::SinglyCursorList, core::SinglyFetchOrList,
-                     core::DoublyCursorList, core::UnrolledK8List>;
+                     core::DoublyCursorList, core::UnrolledK8List,
+                     core::SinglyFetchOrListEbr, core::UnrolledK8ListHp>;
 TYPED_TEST_SUITE(ValidateCatchesCorruption, CorruptibleLists);
 
 TYPED_TEST(ValidateCatchesCorruption, OrderViolationIsReported) {
