@@ -28,8 +28,9 @@
 // the catalog id, plus ":u<U>" when --u lists several universes and
 // ":scan<P>" when --scan-frac lists several shares.
 //
-// Flags are checked: an unknown flag or a malformed value prints the
-// usage and exits 2 before any cell runs; --help prints it, exit 0.
+// Flags are checked: an unknown flag, a malformed value or an id the
+// catalog does not know prints the usage and exits 2 before any cell
+// runs; --help prints it, exit 0.
 #include <iomanip>
 #include <iostream>
 #include <limits>
@@ -144,8 +145,12 @@ int main(int argc, char** argv) {
     cells = bench::expand_grid(bench::select_variants(opt, {"all"}),
                                reclaimers, shards, suffixes);
   for (const auto& id : ids) cells.push_back({id, id, "", 1, ""});
-  // A typo in the last id aborts now, not after the cells before it ran.
-  for (const auto& cell : cells) harness::make_set(cell.id);
+  // A typo in the last id is a usage error now, not after the cells
+  // before it ran.
+  for (const auto& cell : cells) {
+    const std::string err = harness::id_error(cell.id);
+    if (!err.empty()) opt.usage_error(err);
+  }
 
   std::cout << "Grid, p=" << p << ", c=" << c << ", mix " << mix_name
             << " " << base.add_pct << "/" << base.rem_pct << "/"

@@ -1,6 +1,7 @@
 // Shared plumbing for the paper-table bench binaries.
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -78,23 +79,30 @@ inline bool latency_enabled(const harness::Options& opt) {
 
 /// The shared --variants selection: paper row letters (a,c,e), full
 /// ids, or "all"; candidates are the six paper rows plus the unrolled
-/// fat-node family. Aborts when nothing matched (a typo must not
-/// silently shrink a bench to zero rows).
+/// fat-node family. A token that matches no row is a usage error (exit
+/// 2): a typo must not silently shrink a bench.
 inline std::vector<std::string> select_variants(
     const harness::Options& opt, const std::vector<std::string>& def) {
   const auto& candidates = harness::engine_variant_ids();
   const std::vector<std::string> tokens =
       opt.get_string_list("variants", def);
   const bool all = tokens.size() == 1 && tokens.front() == "all";
+  const auto matches = [](const std::string& tok, std::string_view id) {
+    return tok == id || tok == harness::variant_letter(id);
+  };
+  if (!all)
+    for (const auto& tok : tokens)
+      if (std::none_of(candidates.begin(), candidates.end(),
+                       [&](std::string_view id) { return matches(tok, id); }))
+        opt.usage_error("--variants: '" + tok +
+                        "' is none of the rows a-f/unrolled_k8");
   std::vector<std::string> variants;
   for (const std::string_view id : candidates) {
     bool wanted = all;
-    for (const auto& tok : tokens)
-      wanted |= tok == id || tok == harness::variant_letter(id);
+    for (const auto& tok : tokens) wanted |= matches(tok, id);
     if (wanted) variants.emplace_back(id);
   }
-  PRAGMALIST_CHECK(!variants.empty(),
-                   "--variants matched none of the rows a-f/unrolled_k8");
+  if (variants.empty()) opt.usage_error("--variants selects no row");
   return variants;
 }
 

@@ -107,6 +107,12 @@ struct HintStats {
 //                     under continuous resize
 //   range_scan/ascend CAS-free, restart-free   CAS-free, bounded-restart
 //     (singly/doubly) (one pass)               (resume past last emitted)
+//   range_scan/ascend CAS-free, no retire;     same; a lost anchor also
+//     (unrolled)      a marked node met after  resumes from the last
+//                     its anchor changed re-   live one
+//                     snapshots that anchor
+//                     (one re-anchor per write
+//                     to it), never the head
 //   add (mild,        decided (present): no CAS;  same bodies; the walk is
 //     singly/doubly)  else one CAS that links    bounded-restart (a lost
 //                     and sweeps; a lost CAS     anchor resumes from the

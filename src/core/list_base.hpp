@@ -398,134 +398,200 @@ Node* tighter(Node* head, Node* cursor, Node* hint) {
 
 }  // namespace start
 
-/// Ordered range scans shared by every marked-pointer list. `Node`
-/// must expose `key` and a MarkPtr<Node> `next`. Three protocols, one
-/// per reclamation capability (docs/ARCHITECTURE.md spells out the
-/// safety arguments):
+/// Ordered range scans: the one scan walk behind every engine's
+/// range_scan()/ascend() and quiescent snapshot(). The walk owns the
+/// position and the protection; each engine passes only its per-node
+/// step, which reads one node, offers its keys to `Out` and says what
+/// the node was (`Verdict`). The one-key list's step is KeyStep below;
+/// the unrolled engine's offers a version-validated fat-node snapshot.
 ///
-///   * arena  -- plain_scan, no protection: addresses are stable for
-///     the list's lifetime, so the walk may dawdle freely.
-///   * EBR    -- plain_scan inside ONE epoch pin covering the whole
-///     scan (the caller's guard): nothing retired after the pin can be
-///     freed until the scan unpins. Long scans therefore hold the
-///     reclamation horizon -- the cost bench_grid's scan cells price against HP.
-///   * HP     -- hazard_scan: locate()'s hazard discipline, generalized
-///     to emit along the way. Per-step publish + anchor revalidation;
-///     a lost anchor resumes from the last live anchor (the head once
-///     it died), emitting only *after* the last key already observed
-///     (the restart invariant: no key is emitted twice, and each key of
-///     the range is observed exactly once, at increasing positions).
+/// Protection per reclaimer (docs/ARCHITECTURE.md "Range scans"):
+///   * arena -- none: addresses are stable for the list's lifetime.
+///   * EBR   -- the caller's ONE epoch pin covers the whole walk, so a
+///     long scan holds the reclamation horizon -- the cost bench_grid's
+///     scan cells price against HP.
+///   * HP    -- locate()'s discipline, compiled in under kHazards:
+///     publish kWalk, revalidate the kAnchor cell (prev->next still
+///     left_next, unmarked), pin a dead run's head in kRun, re-anchor
+///     on every live node. A lost revalidation resumes from the last
+///     validated anchor, still in kAnchor; the persistent kCursor cell
+///     is never touched, so a scan cannot disturb an engine's cursor.
 ///
-/// All three skip marked nodes and never CAS: a scan is read-only even
-/// on the draconic variants.
+/// Emission runs past `next_from`, the successor of the last emitted
+/// key: a re-walked prefix is never emitted twice and observation
+/// instants increase along the key space, so every resume keeps the
+/// per-key scan contract (iset.hpp). A start or resume point is the
+/// head or a node validated unmarked that no wanted key lies before
+/// (a list key < next_from, a fat-node anchor <= next_from). The walk
+/// steps every anchor but the head (the head is only a pointer): a
+/// list anchor emits nothing, since its key is below next_from, while
+/// an unrolled anchor emits its keys from next_from on, which covers
+/// a start node's tail and whatever a merge moved into it. An anchor
+/// found dead decays to the engine's start (a validated hint, else
+/// the head).
+///
+/// No scan issues a CAS or retires a node, on any variant (even the
+/// draconic row never unlinks during a scan).
+///
+/// Marked nodes. A list key never moves, so the list steps through a
+/// marked node. A fat node's keys do move: a split moves keys *right*,
+/// into a fresh sibling linked right after its source, which a forward
+/// walk still reaches (through the source's frozen next if the source
+/// dies); merge-left moves a node's keys into its immediate unmarked
+/// predecessor L, under L's seqlock, *before* it marks the emptied
+/// node. That can put keys behind the walk. Let P be the last live node
+/// the walk snapshotted (version v) and M the marked node it stands on,
+/// reached from P through marked nodes only. The unrolled step crosses
+/// M only if, after reading M marked, P's version still reads v (for P
+/// = the head, which holds no keys and has no lock: head->next still
+/// reads left_next). Then no key that has been present since the scan
+/// began, at or past next_from, can be behind the walk:
+///   * into P: a merge into P holds P's lock across the absorbed node's
+///     mark, so a walk that saw the mark sees P's version move;
+///   * behind P: a merge into a node before P needs that node's next to
+///     be the source, so P was unlinked first -- and marked, under its
+///     lock, before that;
+///   * into a node between P and M: no live node was there when the
+///     walk read P (the walk saw each node on its path marked, and
+///     marks are permanent). The first live node to enter that gap
+///     comes from a split of P (P's version moves) or, when P is the
+///     head, from a fresh link after the head (head->next moves; if it
+///     came back to left_next every node linked meanwhile has been
+///     unlinked, and a node can empty before its unlink only by
+///     removes, since nothing merges into the head -- the keys it took
+///     were removed during the scan). Keys that went into a node on the
+///     path while it was still live left again before it was marked:
+///     by removes, rightward by a split (still ahead), or leftward by a
+///     merge into its own live predecessor -- the cases above, again.
+/// So a crossed corpse needs no CAS: it is left for the writers'
+/// sweeps. Otherwise the step answers kBack and the walk re-anchors
+/// at P, re-snapshotting it from next_from (falling to the start if P
+/// died). Each kBack follows a write to P (or to head->next), so a scan
+/// re-anchors only as often as writers change its anchor; left_next is
+/// compared as an address only while it cannot be reused (arena: never
+/// freed; EBR: the pin; HP: kWalk, then kRun).
 namespace scan {
 
-/// Emit live keys in [from, hi] ascending, stopping after `limit`
-/// emissions (limit < 0 = unbounded). Returns the number emitted.
-/// Safe whenever node addresses stay valid for the walk's duration:
-/// under the arena always, under EBR inside the caller's epoch pin,
-/// and quiescently everywhere (snapshot() reuses it).
-template <typename Node, typename Sink>
-long plain_scan(const Node* head, long from, long hi, long limit,
-                Sink&& sink) {
-  long emitted = 0;
-  for (const Node* n = head->next.load_ptr(); n != nullptr;) {
-    const auto v = n->next.load();
-    if (!v.marked) {
-      if (n->key > hi || (limit >= 0 && emitted >= limit)) break;
-      if (n->key >= from) {
-        sink(n->key);
-        ++emitted;
-      }
-    }
-    n = v.ptr;
-  }
-  return emitted;
-}
+/// What a step made of one node.
+enum class Verdict {
+  kLive,  // unmarked: its keys were offered; the walk anchors on it
+  kDead,  // marked: the walk steps through it
+  kBack,  // marked, and keys may have moved behind the walk: re-anchor
+  kStop,  // the scan is complete
+};
 
-/// The hazard-pointer scan protocol. Walks with the anchored-validation
-/// slot discipline of core::locate (kAnchor / kWalk / kRun;
-/// the persistent kCursor cell is never touched, so a scan cannot
-/// disturb the owning engine's cursor). On a failed anchor
-/// revalidation the walk resumes from the last validated anchor while
-/// that anchor is still live (it stays kAnchor-protected across the
-/// restart) and only decays to start_node() -- a validated hint, or
-/// the head -- when the anchor died; either way emission resumes past
-/// `next_from`, the successor of the last emitted key, so re-walked
-/// prefix keys (already observed in an earlier pass) are never
-/// emitted twice and observation instants still increase along the
-/// key space. start_node() must return either the head or a node
-/// validated unmarked with key < the first position still wanted,
-/// already covered by kAnchor. Each lost anchor bumps *restarts.
-template <typename Node, typename ReclaimHandle, typename Sink,
-          typename StartFn>
-long hazard_scan(ReclaimHandle& rh, Node* head, long from, long hi,
-                 long limit, Sink&& sink, StartFn&& start_node,
-                 long* restarts = nullptr) {
+template <typename Node>
+struct Seen {
+  Verdict verdict;
+  Node* next;  // kLive / kDead: the node's successor
+};
+
+/// A scan's emission state: live keys in [next_from, hi], at most
+/// `limit` of them (< 0 = unbounded).
+template <typename Sink>
+struct Out {
+  long next_from;  // first key position not yet observed
+  long hi;
+  long limit;
+  Sink& sink;
   long emitted = 0;
-  long next_from = from;  // first key position not yet observed
-  Node* resume = nullptr;  // last validated anchor, still in kAnchor
-  bool first_pass = true;
+
+  /// Emit k unless it lies below next_from; false once the scan is
+  /// complete (k past hi, k == hi emitted, or the limit reached).
+  bool offer(long k) {
+    if (k < next_from) return true;
+    if (k > hi || emitted == limit) return false;
+    sink(k);
+    ++emitted;
+    if (k == hi) return false;  // also dodges the +1 overflow
+    next_from = k + 1;
+    return emitted != limit;
+  }
+};
+
+/// The reclaim handle of a walk without hazards (the quiescent
+/// snapshots): never touched.
+struct Unguarded {};
+
+/// Walk from start(next_from) -- the head, or a validated start point
+/// (see above), kAnchor-covered under HP -- emitting
+/// through `out`. step(WalkPos{prev, left_next, cur}, out) reads cur,
+/// where prev is the last live node and [left_next, cur) the marked
+/// run after it; an anchor is stepped as {prev, prev, prev}. Each
+/// re-anchor (a lost revalidation, a kBack) bumps *restarts. Returns
+/// the number of keys emitted.
+template <bool kHazards, typename Node, typename ReclaimHandle,
+          typename Sink, typename StartFn, typename StepFn>
+long walk([[maybe_unused]] ReclaimHandle&& rh, Node* head, Out<Sink>& out,
+          StartFn&& start, StepFn&& step, long* restarts = nullptr) {
+  Node* prev = start(out.next_from);
+  if constexpr (kHazards) rh.protect(hazard::kAnchor, prev);
   for (;;) {
-    bool restart = false;
-    Node* prev;
-    if (resume != nullptr && !resume->next.load().marked) {
-      prev = resume;  // kAnchor already covers it
-    } else if (first_pass) {
-      prev = start_node();  // validated hint (kAnchor-covered) or head
-      rh.protect(hazard::kAnchor, prev);
-      // A hint start may die between its validation and here; the
-      // in-loop anchor revalidation would catch it, but a dead start
-      // should decay straight to the head, not spin.
-      if (prev != head && prev->next.load().marked) {
-        prev = head;
-        rh.protect(hazard::kAnchor, prev);
-      }
+    Node* left_next;
+    if (prev == head) {
+      left_next = head->next.load().ptr;  // the head is never marked
     } else {
-      prev = head;  // the head sentinel is never marked
-      rh.protect(hazard::kAnchor, prev);
+      const Seen<Node> s = step(WalkPos<Node>{prev, prev, prev}, out);
+      if (s.verdict == Verdict::kStop) return out.emitted;
+      if (s.verdict != Verdict::kLive) {  // the anchor died
+        prev = start(out.next_from);
+        if constexpr (kHazards) rh.protect(hazard::kAnchor, prev);
+        continue;
+      }
+      left_next = s.next;
     }
-    first_pass = false;
-    resume = nullptr;
-    Node* left_next = prev->next.load().ptr;
+    // A break leaves cur non-null: re-anchor at prev.
     Node* cur = left_next;
     while (cur != nullptr) {
-      rh.protect(hazard::kWalk, cur);
-      {
+      if constexpr (kHazards) {
+        rh.protect(hazard::kWalk, cur);
         // Anchor revalidation: run still attached => cur not retired
         // before the hazard above became visible.
         const auto av = prev->next.load();
-        if (av.marked || av.ptr != left_next) {
-          restart = true;
-          break;
-        }
+        if (av.marked || av.ptr != left_next) break;
       }
-      const auto cv = cur->next.load();
-      if (cv.marked) {
+      const Seen<Node> s = step(WalkPos<Node>{prev, left_next, cur}, out);
+      if (s.verdict == Verdict::kStop) return out.emitted;
+      if (s.verdict == Verdict::kBack) break;
+      if (s.verdict == Verdict::kDead) {
         // Entering a dead run: pin its head for the run's duration
-        // (same ABA argument as locate()).
-        if (cur == left_next) rh.protect(hazard::kRun, cur);
-        cur = cv.ptr;
+        // (same ABA argument as locate()). kWalk still covers cur.
+        if constexpr (kHazards) {
+          if (cur == left_next) rh.protect(hazard::kRun, cur);
+        }
+        cur = s.next;
         continue;
       }
-      if (cur->key > hi || (limit >= 0 && emitted >= limit)) return emitted;
-      if (cur->key >= next_from) {
-        sink(cur->key);
-        ++emitted;
-        if (cur->key == hi) return emitted;  // also dodges +1 overflow
-        next_from = cur->key + 1;
-      }
       prev = cur;
-      rh.protect(hazard::kAnchor, cur);  // kWalk still covers cur
-      left_next = cv.ptr;
-      cur = cv.ptr;
+      if constexpr (kHazards) rh.protect(hazard::kAnchor, cur);  // kWalk too
+      left_next = cur = s.next;
     }
-    if (!restart) return emitted;  // clean end of chain
-    // Lost the anchor: resume from it while it lives (it stays in
-    // kAnchor), decay to the head once it dies.
+    if (cur == nullptr) return out.emitted;  // clean end of chain
     if (restarts != nullptr) ++*restarts;
-    resume = prev;
   }
+}
+
+/// The one-key list's step: a node is its key, and a marked node's key
+/// is gone without having moved, so the walk steps through it.
+struct KeyStep {
+  template <typename Node, typename Sink>
+  Seen<Node> operator()(const WalkPos<Node>& at, Out<Sink>& out) const {
+    const auto v = at.cur->next.load();
+    if (v.marked) return {Verdict::kDead, v.ptr};
+    return {out.offer(at.cur->key) ? Verdict::kLive : Verdict::kStop, v.ptr};
+  }
+};
+
+/// Every live key, ascending: the full-range walk from the head, for
+/// quiescent use (no protection).
+template <typename Node, typename StepFn>
+std::vector<long> all(Node* head, StepFn&& step) {
+  std::vector<long> keys;
+  auto push = [&](long k) { keys.push_back(k); };
+  Out<decltype(push)> out{std::numeric_limits<long>::min(),
+                          std::numeric_limits<long>::max(), -1, push};
+  walk<false>(Unguarded{}, head, out, [&](long) { return head; }, step);
+  return keys;
 }
 
 }  // namespace scan
@@ -536,13 +602,7 @@ namespace quiescent {
 
 template <typename Node>
 std::vector<long> snapshot(const Node* head) {
-  // The full-range scan IS the quiescent snapshot walk; keep one
-  // traversal, not two.
-  std::vector<long> keys;
-  scan::plain_scan(head, std::numeric_limits<long>::min(),
-                   std::numeric_limits<long>::max(), /*limit=*/-1,
-                   [&](long k) { keys.push_back(k); });
-  return keys;
+  return scan::all(head, scan::KeyStep{});
 }
 
 template <typename Node>

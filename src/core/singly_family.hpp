@@ -614,32 +614,24 @@ class ListFamily {
   }
 
   /// The scan primitive behind range_scan()/ascend(): emit live keys
-  /// in [from, hi], at most `limit` (< 0 = unbounded). Protocol per
-  /// policy: the arena walks freely, EBR pins once for the whole scan
-  /// (the guard below), HP runs the re-anchoring hazard scan. Scans
-  /// are read-only on every variant -- even the draconic one -- and
-  /// never touch the handle's cursor.
+  /// in [from, hi], at most `limit` (< 0 = unbounded), by the shared
+  /// scan walk (list_base.hpp, namespace scan) from the tightest
+  /// validated hint below `from`. EBR pins once for the whole scan (the
+  /// guard below). Scans are read-only on every variant -- even the
+  /// draconic one -- and never touch the handle's cursor.
   long do_scan(Handle& h, long from, long hi, long limit,
                const KeySink& sink) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if constexpr (kHazards) {
-      return scan::hazard_scan(
-          *h.rh_, head_, from, hi, limit, sink,
-          [&] {
-            Node* g = hint_start(h, from);
-            if (g == nullptr) return head_;
-            ++h.ctr_.hint_hits;
-            return g;  // validated key < from, kAnchor-covered
-          },
-          &h.ctr_.restarts);
-    } else {
-      // A validated hint with key < from is a correct pseudo-head for
-      // the plain scan: every key it skips is below the range.
-      Node* g = hint_start(h, from);
-      if (g != nullptr) ++h.ctr_.hint_hits;
-      return scan::plain_scan(g != nullptr ? g : head_, from, hi, limit,
-                              sink);
-    }
+    scan::Out<const KeySink> out{from, hi, limit, sink};
+    return scan::walk<kHazards>(
+        *h.rh_, head_, out,
+        [&](long next_from) {
+          Node* g = hint_start(h, next_from);
+          if (g == nullptr) return head_;
+          ++h.ctr_.hint_hits;
+          return g;  // validated key < next_from; HP: kAnchor-covered
+        },
+        scan::KeyStep{}, &h.ctr_.restarts);
   }
 
   std::shared_ptr<Reclaim> domain_;

@@ -32,7 +32,7 @@
 //     exactly when its last key leaves, and a marked node's next is
 //     frozen (core::MarkPtr), so sweeps can detach it with the familiar
 //     one-CAS run swing. A writer's read-only routing walk ends in that
-//     one CAS for the run it crossed; scans sweep too.
+//     one CAS for the run it crossed; scans never sweep.
 //
 // Rebalancing, all under the seqlock(s):
 //   * Split-right at K+1 keys: inserting into a full node keeps the
@@ -57,11 +57,14 @@
 // only reports absent if the covering node is *still* the same node at
 // the same version (64-bit, no ABA); anything else retries. Under HP
 // the snapshot node is pinned in the persistent kCursor cell across
-// the second walk (owner-tagged, like the cursor engines). Scans
-// restart from the head on meeting a marked node -- after one sweep
-// attempt to bound the restarts -- because merge-left can move keys
-// *behind* a forward scanner; the resume point (`next_from`) makes
-// restarts emission-idempotent.
+// the second walk (owner-tagged, like the cursor engines). Scans run
+// the shared scan walk (core::scan) from a validated hint, emitting
+// one version-validated snapshot per node. Merge-left can move keys
+// *behind* a forward scanner, so the scan steps through a marked node
+// only while its last live node's seqlock version is unchanged;
+// otherwise it re-snapshots that node from the resume point
+// (`next_from`). No scan CASes or retires (core::scan's header holds
+// the argument).
 //
 // Keys must lie in (LONG_MIN, LONG_MAX): LONG_MIN is the head anchor
 // and the empty-cell sentinel, LONG_MAX would overflow the key+1
@@ -304,17 +307,7 @@ class UnrolledFamilyList {
   }
 
   std::vector<long> snapshot() const {
-    std::vector<long> keys;
-    for (const Node* n = head_->next.load_ptr(); n != nullptr;) {
-      const auto v = n->next.load();
-      if (!v.marked) {
-        const int cnt = n->count.load(std::memory_order_relaxed);
-        for (int i = 0; i < cnt; ++i)
-          keys.push_back(n->cells[i].load(std::memory_order_relaxed));
-      }
-      n = v.ptr;
-    }
-    return keys;
+    return scan::all(head_, ScanStep{head_});
   }
 
   /// Published-and-not-yet-freed node count (fat nodes, not keys); the
@@ -334,15 +327,7 @@ class UnrolledFamilyList {
   /// Quiescent-only: unmarked fat nodes currently linked (head
   /// sentinel excluded). The split/merge unit tests assert node-count
   /// transitions with this.
-  std::size_t live_node_count() const {
-    std::size_t nodes = 0;
-    for (const Node* n = head_->next.load_ptr(); n != nullptr;) {
-      const auto v = n->next.load();
-      if (!v.marked) ++nodes;
-      n = v.ptr;
-    }
-    return nodes;
-  }
+  std::size_t live_node_count() const { return quiescent::size(head_); }
 
   std::size_t limbo_nodes() const {
     if constexpr (Reclaim::kReclaims)
@@ -830,112 +815,50 @@ class UnrolledFamilyList {
     }
   }
 
+  /// The scan walk's per-node step (core::scan::walk): one
+  /// version-validated snapshot per node, so a node's keys are observed
+  /// atomically. A marked node is crossed only while the last live node
+  /// reads the version its snapshot had (the head: the same
+  /// head->next); otherwise kBack re-snapshots that node, which a
+  /// merge-left may have grown. core::scan's header holds the argument.
+  struct ScanStep {
+    const Node* head;
+    std::uint64_t version = 0;  // of the last live node's snapshot
+
+    template <typename Out>
+    scan::Seen<Node> operator()(const WalkPos<Node>& at, Out& out) {
+      if (at.cur->key > out.hi) return {scan::Verdict::kStop, nullptr};
+      const NodeView v = read_node(at.cur);
+      if (v.marked) {
+        const bool unmoved =
+            at.prev == head
+                ? head->next.load().ptr == at.left_next
+                : at.prev->version.load(std::memory_order_acquire) == version;
+        return {unmoved ? scan::Verdict::kDead : scan::Verdict::kBack,
+                v.next};
+      }
+      version = v.version;
+      for (int i = 0; i < v.count; ++i)
+        if (!out.offer(v.keys[i])) return {scan::Verdict::kStop, nullptr};
+      return {scan::Verdict::kLive, v.next};
+    }
+  };
+
   /// The scan primitive behind range_scan()/ascend(): emit live keys
-  /// in [from, hi], at most `limit` (< 0 = unbounded). Per-node
-  /// emission comes from a version-validated snapshot, so a node's
-  /// keys are observed atomically; across nodes the usual per-key
-  /// contract holds. Meeting a marked node restarts from the head
-  /// (after one sweep attempt): merge-left may have moved its keys
-  /// *behind* the scanner, and only a re-route can find them. The
-  /// resume point makes restarts emission-idempotent, and each restart
-  /// retired (or raced the retirement of) one corpse, which bounds
-  /// them.
+  /// in [from, hi], at most `limit` (< 0 = unbounded), by the shared
+  /// scan walk from the validated hint covering `from`. CAS-free.
   long do_scan(Handle& h, long from, long hi, long limit,
                const KeySink& sink) {
     [[maybe_unused]] auto guard = h.rh_->guard();
-    if (from > hi || limit == 0) return 0;
-    if constexpr (kHazards)
-      return scan_hazard(h, from, hi, limit, sink);
-    else
-      return scan_plain(h, from, hi, limit, sink);
-  }
-
-  long scan_plain(Handle& h, long from, long hi, long limit,
-                  const KeySink& sink) {
-    long emitted = 0;
-    long next_from = from;  // first key position not yet observed
-    for (;;) {
-      Node* prev = head_;
-      Node* cur = head_->next.load().ptr;
-      bool restart = false;
-      while (cur != nullptr) {
-        if (cur->key > hi) return emitted;  // anchors only grow
-        const NodeView v = read_node(cur);
-        if (v.marked) {
-          // prev->next == cur was observed directly (we restart at the
-          // first marked node, so no run-walking happened); the corpse
-          // has a frozen next, one CAS detaches it. Restarts go to the
-          // head -- never a hint: merge-left may have moved this
-          // node's keys *behind* any start below the resume point.
-          if (prev->next.cas_clean(cur, v.next)) retire_one(h, cur);
-          ++h.ctr_.restarts;
-          restart = true;
-          break;
-        }
-        for (int i = 0; i < v.count; ++i) {
-          const long k = v.keys[i];
-          if (k < next_from) continue;
-          if (k > hi) return emitted;
-          if (limit >= 0 && emitted >= limit) return emitted;
-          sink(k);
-          ++emitted;
-          if (k == hi) return emitted;
-          next_from = k + 1;
-        }
-        prev = cur;
-        cur = v.next;
-      }
-      if (!restart) return emitted;  // clean end of chain
-    }
-  }
-
-  /// Hazard flavor: kAnchor on the last live node, kWalk on the node
-  /// being snapshotted, anchor revalidation before every snapshot --
-  /// the same discipline as scan::hazard_scan, minus run-walking
-  /// (marked nodes restart, as above, so kRun is never needed).
-  long scan_hazard(Handle& h, long from, long hi, long limit,
-                   const KeySink& sink) {
-    long emitted = 0;
-    long next_from = from;
-    for (;;) {
-      Node* prev = head_;  // the head sentinel is never marked
-      h.rh_->protect(hazard::kAnchor, prev);
-      Node* cur = prev->next.load().ptr;
-      bool restart = false;
-      while (cur != nullptr) {
-        h.rh_->protect(hazard::kWalk, cur);
-        {
-          const auto av = prev->next.load();
-          if (av.marked || av.ptr != cur) {
-            ++h.ctr_.restarts;
-            restart = true;
-            break;
-          }
-        }
-        if (cur->key > hi) return emitted;
-        const NodeView v = read_node(cur);
-        if (v.marked) {
-          if (prev->next.cas_clean(cur, v.next)) retire_one(h, cur);
-          ++h.ctr_.restarts;
-          restart = true;
-          break;
-        }
-        for (int i = 0; i < v.count; ++i) {
-          const long k = v.keys[i];
-          if (k < next_from) continue;
-          if (k > hi) return emitted;
-          if (limit >= 0 && emitted >= limit) return emitted;
-          sink(k);
-          ++emitted;
-          if (k == hi) return emitted;
-          next_from = k + 1;
-        }
-        prev = cur;
-        h.rh_->protect(hazard::kAnchor, cur);  // kWalk still covers cur
-        cur = v.next;
-      }
-      if (!restart) return emitted;
-    }
+    scan::Out<const KeySink> out{from, hi, limit, sink};
+    return scan::walk<kHazards>(
+        *h.rh_, head_, out,
+        [&](long next_from) {  // anchor <= next_from (keys < LONG_MAX)
+          return hinted_start(
+              h, next_from < std::numeric_limits<long>::max() ? next_from + 1
+                                                              : next_from);
+        },
+        ScanStep{head_}, &h.ctr_.restarts);
   }
 
   std::shared_ptr<Reclaim> domain_;

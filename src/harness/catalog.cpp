@@ -157,12 +157,9 @@ SetPtr make_engine(std::string id, const Cell& c) {
 // The locked lists `new` their own nodes, so the node-memory
 // mode is silently irrelevant to them. They have no hint index either,
 // but that is NOT silent: their `/nohint` twin would benchmark the
-// structure against itself, so it is rejected.
+// structure against itself, so resolve() rejects it.
 template <typename Structure>
-SetPtr make_plain(std::string id, const Cell& c) {
-  PRAGMALIST_CHECK(c.hints,
-                   "'/nohint' needs an engine id: this structure has no "
-                   "hint index to disable");
+SetPtr make_plain(std::string id, const Cell&) {
   return std::make_unique<SetAdapter<Structure, Surface::kPlain>>(
       std::move(id));
 }
@@ -252,9 +249,15 @@ const std::vector<std::string_view>& intern(std::vector<std::string> ids) {
   return in->views;
 }
 
-}  // namespace
+/// An id checked against the tables: the row's maker and the cell its
+/// segments name, or why the id names no cell.
+struct Resolved {
+  Maker make = nullptr;
+  Cell cell;
+  std::string error;
+};
 
-std::unique_ptr<core::ISet> make_set(std::string_view id) {
+Resolved resolve(std::string_view id) {
   // Dashes are id-alias sugar (`unrolled-k8` == `unrolled_k8`): the
   // docs spell the family with a dash, the catalog key with an
   // underscore.
@@ -268,50 +271,70 @@ std::unique_ptr<core::ISet> make_set(std::string_view id) {
   // against. `/heap` requests the plain-malloc twin of the default
   // slab node memory.
   std::string_view base = norm;
-  Cell cell;
-  cell.hints = !strip_suffix(&base, "/nohint");
-  if (strip_suffix(&base, "/heap")) cell.mode = alloc::Mode::kHeap;
-  if (split_sharded_id(base, &base, &cell.shards))
-    PRAGMALIST_CHECK(cell.shards >= 1 && cell.shards <= 1024,
-                     "shard count must be in [1, 1024]");
+  Resolved r;
+  const auto fail = [&](std::string why) {
+    r.error = "id '" + std::string(id) + "': " + std::move(why);
+    return r;
+  };
+  r.cell.hints = !strip_suffix(&base, "/nohint");
+  if (strip_suffix(&base, "/heap")) r.cell.mode = alloc::Mode::kHeap;
+  if (split_sharded_id(base, &base, &r.cell.shards) &&
+      (r.cell.shards < 1 || r.cell.shards > 1024))
+    return fail("shard count must be in [1, 1024]");
   if (strip_suffix(&base, "/ebr"))
-    cell.reclaimer = Reclaimer::kEbr;
+    r.cell.reclaimer = Reclaimer::kEbr;
   else if (strip_suffix(&base, "/hp"))
-    cell.reclaimer = Reclaimer::kHp;
+    r.cell.reclaimer = Reclaimer::kHp;
 
-  for (const auto& row : kEngines)
-    if (row.id == base) return row.make(std::string(id), cell);
+  for (const auto& row : kEngines) {
+    if (row.id == base) {
+      r.make = row.make;
+      return r;
+    }
+  }
   // The plain rows are single cells: the reclaimer and shard segments
   // exist only for the engines.
-  const auto make_plain_row = [&](const PlainRow& row) {
-    if (cell.reclaimer != Reclaimer::kArena || cell.shards != 0) {
-      std::string msg = "id '" + std::string(id) + "': '" +
-                        std::string(base) +
+  const auto plain_row = [&](const PlainRow& row, bool has_hints) {
+    if (r.cell.reclaimer != Reclaimer::kArena || r.cell.shards != 0) {
+      std::string why = "'" + std::string(base) +
                         "' takes no /ebr, /hp or /shN segment; engines:";
       for (const auto& engine : kEngines) {
-        msg += ' ';
-        msg += engine.id;
+        why += ' ';
+        why += engine.id;
       }
-      PRAGMALIST_CHECK(false, msg.c_str());
+      return fail(std::move(why));
     }
-    return row.make(std::string(id), cell);
+    if (!r.cell.hints && !has_hints)
+      return fail("'/nohint' needs an engine id: this structure has no "
+                  "hint index to disable");
+    r.make = row.make;
+    return r;
   };
   for (const auto& row : kAblations)
-    if (row.id == base) return make_plain_row(row);
+    if (row.id == base) return plain_row(row, true);
   for (const auto& row : kPlain)
-    if (row.id == base) return make_plain_row(row);
-  std::string msg = "unknown variant '" + std::string(id) + "'; known:";
+    if (row.id == base) return plain_row(row, false);
+  r.error = "unknown variant '" + std::string(id) + "'; known:";
   for (const auto known : all_variant_ids()) {
-    msg += ' ';
-    msg += known;
+    r.error += ' ';
+    r.error += known;
   }
-  msg +=
+  r.error +=
       " (any engine id also takes /shN, e.g. singly/ebr/sh8, a trailing"
       " /heap for its malloc twin and a trailing /nohint for its"
       " hint-index-disabled twin)";
-  PRAGMALIST_CHECK(false, msg.c_str());
-  __builtin_unreachable();
+  return r;
 }
+
+}  // namespace
+
+std::unique_ptr<core::ISet> make_set(std::string_view id) {
+  const Resolved r = resolve(id);
+  PRAGMALIST_CHECK(r.error.empty(), r.error.c_str());
+  return r.make(std::string(id), r.cell);
+}
+
+std::string id_error(std::string_view id) { return resolve(id).error; }
 
 const std::vector<std::string_view>& engine_variant_ids() {
   static const std::vector<std::string_view> ids = [] {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -31,9 +32,14 @@
 
 namespace pragmalist::harness {
 
-/// Construct the structure registered under `id`; aborts with the list
-/// of known ids on a typo.
+/// Construct the structure registered under `id`; aborts with
+/// id_error(id) (on a typo, the list of known ids) when it names none.
 std::unique_ptr<core::ISet> make_set(std::string_view id);
+
+/// Why `id` names no catalog cell, or "" when it names one: the check
+/// make_set runs, for callers that report a bad id instead of aborting
+/// (a command line exits 2).
+std::string id_error(std::string_view id);
 
 /// The engine families, in table order: rows a-f, then unrolled_k8.
 const std::vector<std::string_view>& engine_variant_ids();

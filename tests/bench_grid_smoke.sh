@@ -2,8 +2,9 @@
 # bench_grid end to end at toy size, in its four modes (point, sharded
 # scan, fixed-rate, zipf): each run must exit 0 and write cell rows, and
 # every latency CSV row must read count > 0 and p50 <= p99 <= p999 <=
-# max. Then the flag contract: an unknown flag and a malformed value
-# exit 2 without running a cell, --help exits 0 within 1 s.
+# max. Then the flag contract: an unknown flag, a malformed value and
+# an id the catalog does not know (--ids or --variants) exit 2 without
+# running a cell, --help exits 0 within 1 s.
 #
 #   bench_grid_smoke.sh PATH/TO/bench_grid [ON|OFF]
 #
@@ -65,5 +66,7 @@ expect_exit() {
 expect_exit 2 --no-such-flag
 expect_exit 2 --c abc
 expect_exit 2 --threads 2 --c
+expect_exit 2 --ids skiplist
+expect_exit 2 --variants zz
 expect_exit 0 --help
 grep -q "usage: bench_grid" out.txt || fail "--help printed no usage"

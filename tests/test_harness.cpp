@@ -191,6 +191,21 @@ TEST(CatalogDeathTest, RejectsMalformedIds) {
   EXPECT_DEATH(harness::make_set("singly/sh1025"), "shard count");
 }
 
+// id_error() is the same check without the abort: "" for an id that
+// names a cell, make_set's message for one that does not.
+TEST(Catalog, IdErrorReportsWithoutAborting) {
+  EXPECT_EQ(harness::id_error("unrolled-k8/hp/sh2/heap/nohint"), "");
+  EXPECT_EQ(harness::id_error("lazy_lock"), "");
+  EXPECT_NE(harness::id_error("skiplist").find("unknown variant 'skiplist'"),
+            std::string::npos);
+  EXPECT_NE(harness::id_error("coarse_lock/nohint").find("no hint index"),
+            std::string::npos);
+  EXPECT_NE(harness::id_error("lazy_lock/ebr").find("takes no /ebr"),
+            std::string::npos);
+  EXPECT_NE(harness::id_error("singly/sh0").find("shard count"),
+            std::string::npos);
+}
+
 TEST(Catalog, EverySuffixComposes) {
   auto set = harness::make_set("unrolled-k8/hp/sh2/heap/nohint");
   EXPECT_EQ(set->name(), "unrolled-k8/hp/sh2/heap/nohint");

@@ -3,17 +3,21 @@
 // whose scans are k-way merges and must come back globally sorted),
 // the sharded merge's fetch bound, the paging contract, the
 // scans/scan_calls counter ledger, and the quiescent identity
-// full-range scan == snapshot(). Concurrency is the stress tier's job
-// (test_linearizability, test_reclaim_churn).
+// full-range scan == snapshot(). Concurrency is otherwise the stress
+// tier's job (test_linearizability, test_reclaim_churn); the one
+// concurrent case here pins the unrolled scan's merge-left rule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "src/core/unrolled_family.hpp"
 #include "src/core/variants.hpp"
 #include "src/harness/catalog.hpp"
 #include "src/net/protocol.hpp"
@@ -326,6 +330,100 @@ TEST(ShardedScan, ASinkMayNotScanItsOwnHandle) {
   EXPECT_EQ(seen, 32);
   EXPECT_DEATH(h.range_scan(0, 31, [&](long) { h.ascend(0, 1); }),
                "started a scan on the same handle");
+}
+
+// Merge-left moves a fat node's keys into the node *behind* a forward
+// scan (unrolled_family.hpp), so the scan may step through a marked
+// node only while its last live node is unchanged. Pinned keys (every
+// kPinEvery-th) are never removed; churn threads add and remove the
+// keys between them, so fat nodes split and merge around the pins.
+// Every concurrent range_scan and ascend must emit every pinned key in
+// its range, strictly ascending. A step that always walks through a
+// marked node misses pins here under arena and EBR (under HP the
+// per-step anchor revalidation hides most of that window).
+template <typename List>
+class UnrolledScanUnderMerges : public ::testing::Test {};
+using UnrolledLists = ::testing::Types<core::UnrolledK8List,
+                                       core::UnrolledK8ListEbr,
+                                       core::UnrolledK8ListHp>;
+TYPED_TEST_SUITE(UnrolledScanUnderMerges, UnrolledLists);
+
+TYPED_TEST(UnrolledScanUnderMerges, EveryPinnedKeyInRangeIsEmitted) {
+  constexpr long kSpan = 2048;
+  constexpr long kPinEvery = 16;
+  constexpr int kScansPerThread = 6000;
+  const std::uint64_t seed = test::env_seed(29);
+  test::ReproOnFailure repro(seed);
+  TypeParam list;
+  {
+    auto h = list.make_handle();
+    for (long k = 0; k < kSpan; k += kPinEvery) ASSERT_TRUE(h.add(k));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<long> missed{0};
+  std::atomic<long> disordered{0};
+  const auto churn = [&](std::uint64_t s) {
+    auto h = list.make_handle();
+    workload::Rng rng(s);
+    while (!stop.load(std::memory_order_relaxed)) {
+      const long k = static_cast<long>(rng.below(kSpan));
+      if (k % kPinEvery == 0) continue;
+      if (rng.below(2) == 0)
+        h.add(k);
+      else
+        h.remove(k);
+    }
+  };
+  // Pins in [lo, hi] not emitted, and emissions out of strict order.
+  const auto check = [&](const std::vector<long>& got, long lo, long hi) {
+    std::size_t i = 0;
+    for (long pin = (lo + kPinEvery - 1) / kPinEvery * kPinEvery;
+         pin <= hi && pin < kSpan; pin += kPinEvery) {
+      while (i < got.size() && got[i] < pin) ++i;
+      if (i == got.size() || got[i] != pin) missed.fetch_add(1);
+    }
+    for (std::size_t j = 1; j < got.size(); ++j)
+      if (got[j] <= got[j - 1]) disordered.fetch_add(1);
+  };
+  // A slow consumer: the range_scan sink dawdles after each key, the
+  // step's snapshot just taken, which is where a merge-left into that
+  // node can overtake the walk.
+  const auto dawdle = [] {
+    for (volatile int spin = 0; spin < 200; spin = spin + 1) {
+    }
+  };
+  const auto scanner = [&](std::uint64_t s) {
+    auto h = list.make_handle();
+    workload::Rng rng(s);
+    for (int i = 0; i < kScansPerThread; ++i) {
+      const long lo = static_cast<long>(rng.below(kSpan));
+      std::vector<long> got;
+      if (i % 2 == 0) {
+        const long hi = lo + static_cast<long>(rng.below(kSpan / 4));
+        h.range_scan(lo, hi, [&](long k) {
+          got.push_back(k);
+          dawdle();
+        });
+        check(got, lo, hi);
+      } else {
+        const std::size_t limit = 1 + rng.below(64);
+        got = h.ascend(lo, limit);
+        check(got, lo, got.size() == limit ? got.back() : kSpan);
+      }
+    }
+  };
+  std::vector<std::thread> churners;
+  for (std::uint64_t t = 0; t < 2; ++t) churners.emplace_back(churn, seed + t);
+  std::vector<std::thread> scanners;
+  for (std::uint64_t t = 2; t < 4; ++t)
+    scanners.emplace_back(scanner, seed + t);
+  for (auto& t : scanners) t.join();
+  stop.store(true);
+  for (auto& t : churners) t.join();
+  EXPECT_EQ(missed.load(), 0) << "pinned keys a scan in their range missed";
+  EXPECT_EQ(disordered.load(), 0) << "emissions not strictly ascending";
+  std::string err;
+  EXPECT_TRUE(list.validate(&err)) << err;
 }
 
 }  // namespace

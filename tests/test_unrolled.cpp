@@ -1,8 +1,9 @@
 // Deterministic unit tests for the unrolled fat-node engine
 // (src/core/unrolled_family.hpp, K = 8 sorted keys per node): split
 // and merge exactly at the K boundaries, duplicate rejection inside a
-// fat node, ascend paging that resumes mid-node, and scan emission
-// that stays strictly ascending across node splits. Single-threaded
+// fat node, ascend paging that resumes mid-node, scan emission that
+// stays strictly ascending across node splits, and a mid-range scan
+// that starts from the hint index, not the head. Single-threaded
 // by design -- the node-count transitions below are only well-defined
 // on a deterministic schedule; the concurrent story is covered by the
 // linearizability / churn / fault tiers via the catalog ids.
@@ -209,6 +210,21 @@ TYPED_TEST(UnrolledNode, ScanStrictlyAscendingAcrossSplits) {
   for (long k = 13; k <= 42; ++k) mid.push_back(k);
   EXPECT_EQ(got, mid);
   expect_valid(list);
+}
+
+TYPED_TEST(UnrolledNode, MidRangeScanStartsFromAHint) {
+  TypeParam list;
+  auto h = list.make_handle();
+  for (long k = 0; k < 400; ++k) ASSERT_TRUE(h.add(k));
+  ASSERT_TRUE(h.contains(200));  // warm: the covering node is published
+  const long hits = h.counters().hint_hits;
+  std::vector<long> got;
+  h.range_scan(200, 209, [&](long k) { got.push_back(k); });
+  // The scan started at a validated hint, not at the head.
+  EXPECT_GT(h.counters().hint_hits, hits);
+  std::vector<long> expect(10);
+  std::iota(expect.begin(), expect.end(), 200L);
+  EXPECT_EQ(got, expect);
 }
 
 TYPED_TEST(UnrolledNode, ExtremeKeysAreRejectedOrAbsent) {
